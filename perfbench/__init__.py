@@ -1,0 +1,5 @@
+"""Wall-clock service benchmark for the ``repro`` sort service.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
