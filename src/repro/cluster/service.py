@@ -1,10 +1,10 @@
 """The ``cf-cluster`` service backend: the batched engine lane, sharded.
 
 Byte-identical to :func:`repro.engine.backend.cf_batched_backend` by
-construction — same validation, same first-fit
+construction — same geometry check, same segment codec, same first-fit
 :func:`~repro.engine.backend.pack_tiles` packing, same per-tile profile
-and unpack — but the two heavy phases execute as pool tasks instead of
-driver loops:
+and :func:`~repro.engine.backend.unpack_tiles` — but the two heavy
+phases execute as pool tasks instead of driver loops:
 
 * each **long segment** (> one tile) becomes a ``pipeline_segment`` task
   (the simulated ``gpu_mergesort`` fallback, exactly the single-process
@@ -29,9 +29,13 @@ import numpy.typing as npt
 from repro.cluster.pool import ClusterPool, TaskDict, get_default_pool
 from repro.cluster.shm import SharedInt64
 from repro.config import SortParams
-from repro.engine.backend import KEY_BITS, KEY_LIMIT, pack_tiles
-from repro.errors import ParameterError
-from repro.numtheory import coprime
+from repro.engine.backend import (
+    check_cf_geometry,
+    pack_tiles,
+    split_segments,
+    unpack_tiles,
+)
+from repro.mergesort.segmented import decode_words, encode_segments
 from repro.sim.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> cluster)
@@ -55,55 +59,30 @@ def cf_cluster_backend(
     """Sort a micro-batch through the batched CF lane, as pool tasks."""
     from repro.service.backends import BatchOutcome
 
+    check_cf_geometry("cf-cluster", params, w)
     E, u = params.E, params.u
     tile = u * E
-    if not coprime(w, E):
-        raise ParameterError("cf-cluster requires coprime w, E")
-    if u % w or u & (u - 1):
-        raise ParameterError(f"cf-cluster requires u={u} a power-of-two multiple of w={w}")
-
-    data = np.asarray(data, dtype=np.int64)
-    if data.ndim != 1:
-        raise ParameterError("data must be one-dimensional")
-    bounds = list(offsets) + [len(data)]
-    if offsets and bounds[0] != 0:
-        raise ParameterError("the first segment offset must be 0")
-    for prev, nxt in zip(bounds, bounds[1:]):
-        if nxt < prev:
-            raise ParameterError("segment offsets must be non-decreasing")
-    if bounds[:-1] and bounds[-2] > len(data):
-        raise ParameterError("segment offsets exceed the data length")
-    if len(data) and (data.min() <= -KEY_LIMIT or data.max() >= KEY_LIMIT):
-        raise ParameterError(f"keys must fit in +-2^{KEY_BITS - 1}")
-
-    out = data.copy()
+    enc = encode_segments(data, offsets)
+    out = np.array(data, dtype=np.int64)
     total = Counters()
     launches = 0
-    if not offsets:
+    if not enc.segments:
         return BatchOutcome(data=out, counters=total, launches=0)
     if pool is None:
         pool = get_default_pool()
 
-    short: list[tuple[int, int]] = []
-    long: list[tuple[int, int]] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi <= lo:
-            continue
-        (short if hi - lo <= tile else long).append((lo, hi))
-
+    short, long = split_segments(enc, tile)
     tiles: list[list[tuple[int, int]]] = []
     packed = np.empty((0, tile), dtype=np.int64)
     if short:
-        tiles, packed = pack_tiles(data, short, tile)
+        tiles, packed = pack_tiles(enc, short, tile)
 
-    n = len(data)
+    n = len(out)
     n_rows = len(tiles)
     with SharedInt64(n) as shm_in, SharedInt64(n) as shm_out, SharedInt64(
         n_rows * tile
     ) as shm_packed:
-        shm_in.fill_from(data)
-        if n:
-            shm_out.fill_from(out)
+        shm_in.fill_from(enc.words)
         if n_rows:
             shm_packed.array[:] = packed.ravel()
         tasks: list[TaskDict] = []
@@ -146,20 +125,11 @@ def cf_cluster_backend(
         for (lo, hi), result in zip(long, segment_results):
             total.merge(Counters(**result["counters"]))
             launches += result["launches"]
-            out[lo:hi] = out_view[lo:hi]
+            out[lo:hi] = decode_words(out_view[lo:hi], enc.uniq)
         for result in row_results:
             for row_counters in result["counters_rows"]:
                 total.merge(Counters(**row_counters))
             launches += result["launches"]
         if n_rows:
-            sorted_tiles = shm_packed.array.reshape(n_rows, tile).copy()
-
-    if n_rows:
-        mask = np.int64((1 << KEY_BITS) - 1)
-        for row, members in zip(sorted_tiles, tiles):
-            keys = (row & mask) - KEY_LIMIT
-            pos = 0
-            for lo, hi in members:
-                out[lo:hi] = keys[pos : pos + (hi - lo)]
-                pos += hi - lo
+            unpack_tiles(enc, tiles, shm_packed.array.reshape(n_rows, tile), out)
     return BatchOutcome(data=out, counters=total, launches=launches)

@@ -46,7 +46,7 @@ from repro.sim.counters import Counters
 
 __all__ = [
     "PACK_BITS",
-    "BACKEND_KEY_BITS",
+    "WORD_BITS",
     "KeySpec",
     "EncodedKey",
     "KeySortOutcome",
@@ -58,8 +58,8 @@ __all__ = [
 #: Packed-word budget of the simulated ``sort_by_key`` path (31 bits).
 PACK_BITS = KEY_LIMIT.bit_length() - 1
 
-#: Packed-word budget of the service-backend path (±2^39 key limit).
-BACKEND_KEY_BITS = 39
+#: Packed-word budget of the service-backend path: a non-negative int64.
+WORD_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -231,15 +231,15 @@ def _backend_pass(
     """One stable pass through a registered service backend.
 
     Packs ``(key << index_bits) | position`` — the same stability trick
-    ``sort_by_key`` uses — bounded by the service's ±2^39 key budget.
+    ``sort_by_key`` uses — into one :data:`WORD_BITS` word.
     """
     n = len(keys)
     index_bits = max(1, (n - 1).bit_length()) if n else 1
     key_bits = max(1, int(keys.max()).bit_length()) if n else 1
-    if key_bits + index_bits > BACKEND_KEY_BITS:
+    if key_bits + index_bits > WORD_BITS:
         raise ParameterError(
             f"packed backend key needs {key_bits}+{index_bits} bits "
-            f"> {BACKEND_KEY_BITS} (service key limit)"
+            f"> {WORD_BITS} (service word limit)"
         )
     words = (keys << index_bits) | np.arange(n, dtype=np.int64)
     result = get_backend(backend)(words, [0], params, w)

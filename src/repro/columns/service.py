@@ -5,12 +5,12 @@ admits flat ``int64`` arrays.  This module turns a composite-key table
 sort into exactly that: the rank-compressed key codes fold into one
 lexicographic code per row (:func:`repro.columns.keys.combined_codes`),
 each code packs with its row index as ``(code << index_bits) | row`` —
-the stability trick of ``sort_by_key``, budgeted against the service's
-±2^39 key limit — and the packed words ship as one request tagged
-``kind="columns"``.  The sorted words come back from whatever backend
-the service routes to (cf-batched, kway, samplesort, ...), the row
-indices are masked out as the permutation, and the table is gathered
-through the fused :meth:`repro.columns.table.Table.take`.
+the stability trick of ``sort_by_key``, in one non-negative int64 word
+(:data:`~repro.columns.keys.WORD_BITS`) — and the packed words ship as
+one request tagged ``kind="columns"``.  The sorted words come back from
+whatever backend the service routes to (cf-batched, kway, samplesort,
+...), the row indices are masked out as the permutation, and the table
+is gathered through the fused :meth:`repro.columns.table.Table.take`.
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ from typing import Sequence
 import numpy as np
 import numpy.typing as npt
 
-from repro.columns.keys import KeyLike, combined_codes, encode_keys
+from repro.columns.keys import WORD_BITS, KeyLike, combined_codes, encode_keys
 from repro.columns.table import Table
 from repro.errors import ParameterError
-from repro.service.request import KEY_LIMIT, SortResult
+from repro.service.request import SortResult
 from repro.service.service import SortService
 
-__all__ = ["SERVICE_KEY_BITS", "TableSortSubmission", "pack_for_service", "sort_table"]
-
-#: Signed-magnitude bit budget of one service word (±2^39 key limit).
-SERVICE_KEY_BITS = KEY_LIMIT.bit_length() - 1
+__all__ = ["TableSortSubmission", "pack_for_service", "sort_table"]
 
 
 @dataclass
@@ -51,7 +48,7 @@ def pack_for_service(
     """Pack a composite table key into service words; returns ``(words, index_bits)``.
 
     Each word is ``(combined_code << index_bits) | row``; the total width
-    must fit the service's 39-bit budget, else a
+    must fit :data:`~repro.columns.keys.WORD_BITS`, else a
     :class:`~repro.errors.ParameterError` explains the overflow.  Codes
     are re-rank-compressed first when that rescues the budget (only their
     order matters).
@@ -61,14 +58,14 @@ def pack_for_service(
     comb, slots = combined_codes(enc)
     width = max(1, (max(slots, 1) - 1).bit_length())
     index_bits = max(1, (n - 1).bit_length()) if n else 1
-    if width + index_bits > SERVICE_KEY_BITS:
+    if width + index_bits > WORD_BITS:
         _, inverse = np.unique(comb, return_inverse=True)
         comb = inverse.astype(np.int64)
         width = max(1, int(comb.max()).bit_length()) if len(comb) else 1
-    if width + index_bits > SERVICE_KEY_BITS:
+    if width + index_bits > WORD_BITS:
         raise ParameterError(
             f"packed columns key needs {width}+{index_bits} bits "
-            f"> {SERVICE_KEY_BITS} (service key limit)"
+            f"> {WORD_BITS} (service word limit)"
         )
     words = (comb << index_bits) | np.arange(n, dtype=np.int64)
     return words, index_bits

@@ -21,7 +21,6 @@ from repro.engine.batch import (
     batched_blocksort_profile,
     batched_cf_merge_profile,
     batched_kway_merge_profile,
-    batched_pointer_merge_profile,
     batched_search_profile,
     batched_serial_merge_profile,
     kway_gather_addresses,
@@ -52,7 +51,6 @@ __all__ = [
     "batched_blocksort_profile",
     "batched_cf_merge_profile",
     "batched_kway_merge_profile",
-    "batched_pointer_merge_profile",
     "batched_search_profile",
     "batched_serial_merge_profile",
     "kway_gather_addresses",

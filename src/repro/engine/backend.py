@@ -8,14 +8,16 @@ never straddles tiles) and profiles/sorts **all** tiles in one batched
 vectorized pass through :mod:`repro.engine.batch`:
 
 * output contract — identical to every other backend: the segment-wise
-  sorted concatenation (each tile is one ``np.sort`` over packed
-  ``(rank, key)`` words, so segments come out sorted and in place);
+  sorted concatenation (each tile is one ``np.sort`` over the packed
+  ``(segment, key)`` words of
+  :func:`repro.mergesort.segmented.encode_segments`, so segments come
+  out sorted and in place);
 * counter contract — per tile, bit-identical to
   :func:`repro.mergesort.fast.blocksort_profile` (variant ``"cf"``) on
   the same packed tile, summed over tiles (cross-validated in
   ``tests/test_engine_backend.py``);
-* padding rule — tile tails are padded with a sentinel that sorts after
-  every packed value; padding is per tile, never per segment.
+* padding rule — tile tails are padded with the codec's pad word, which
+  sorts after every packed word; padding is per tile, never per segment.
 
 Segments longer than one tile fall back to the simulated pipeline, like
 :func:`repro.mergesort.segmented.segmented_sort`'s long path.  The CF
@@ -33,34 +35,56 @@ import numpy.typing as npt
 from repro.config import SortParams
 from repro.engine.batch import batched_blocksort_profile, pad_and_stack
 from repro.errors import ParameterError
+from repro.mergesort.segmented import SegmentWords, decode_words, encode_segments
 from repro.numtheory import coprime
 from repro.sim.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> engine)
     from repro.service.backends import BatchOutcome
 
-__all__ = ["cf_batched_backend", "pack_tiles"]
+__all__ = [
+    "cf_batched_backend",
+    "check_cf_geometry",
+    "pack_tiles",
+    "split_segments",
+    "unpack_tiles",
+]
 
-#: Packed-word geometry — must match :mod:`repro.mergesort.segmented`.
-KEY_BITS = 40
-KEY_LIMIT = 1 << (KEY_BITS - 1)
+Segment = tuple[int, int]
+
+
+def check_cf_geometry(backend: str, params: SortParams, w: int) -> None:
+    """Reject geometries the CF fast profile cannot run for ``backend``."""
+    if not coprime(w, params.E):
+        raise ParameterError(f"{backend} requires coprime w, E")
+    u = params.u
+    if u % w or u & (u - 1):
+        raise ParameterError(f"{backend} requires u={u} a power-of-two multiple of w={w}")
+
+
+def split_segments(
+    enc: SegmentWords, tile: int
+) -> tuple[list[Segment], list[Segment]]:
+    """The encoded batch's segments as ``(short, long)``: fits a tile or not."""
+    short = [(lo, hi) for lo, hi in enc.segments if hi - lo <= tile]
+    long = [(lo, hi) for lo, hi in enc.segments if hi - lo > tile]
+    return short, long
 
 
 def pack_tiles(
-    data: npt.NDArray[np.int64],
-    segments: Sequence[tuple[int, int]],
+    enc: SegmentWords,
+    segments: Sequence[Segment],
     tile: int,
-) -> tuple[list[list[tuple[int, int]]], npt.NDArray[np.int64]]:
-    """First-fit pack ``(lo, hi)`` segments into whole tiles.
+) -> tuple[list[list[Segment]], npt.NDArray[np.int64]]:
+    """First-fit pack ``(lo, hi)`` segments of ``enc`` into whole tiles.
 
     Returns ``(tiles, packed)``: per tile, the segments it holds (in
-    order), and the stacked ``(n_tiles, tile)`` packed matrix.  Packed
-    words are ``(rank << KEY_BITS) | (key + KEY_LIMIT)`` with globally
-    increasing ranks, so sorting a tile orders its segments internally
-    *and* keeps them grouped; the pad word ``len(segments) << KEY_BITS``
-    sorts after every real word.
+    order), and the stacked ``(n_tiles, tile)`` matrix of codec words.
+    Words order by segment, then key, so sorting a tile orders its
+    segments internally *and* keeps them grouped; tails hold the pad
+    word, which sorts after every real word.
     """
-    tiles: list[list[tuple[int, int]]] = []
+    tiles: list[list[Segment]] = []
     fill = 0
     for lo, hi in segments:
         size = hi - lo
@@ -71,17 +95,23 @@ def pack_tiles(
             fill = 0
         tiles[-1].append((lo, hi))
         fill += size
-    pad = np.int64(len(segments)) << KEY_BITS
-    rows = []
-    rank = 0
-    for members in tiles:
-        parts = []
+    rows = [np.concatenate([enc.words[lo:hi] for lo, hi in members]) for members in tiles]
+    return tiles, pad_and_stack(rows, tile, enc.pad)
+
+
+def unpack_tiles(
+    enc: SegmentWords,
+    tiles: Sequence[Sequence[Segment]],
+    sorted_tiles: npt.NDArray[np.int64],
+    out: npt.NDArray[np.int64],
+) -> None:
+    """Decode sorted ``pack_tiles`` rows and write each segment into ``out``."""
+    keys = decode_words(sorted_tiles, enc.uniq)
+    for row, members in zip(keys, tiles):
+        pos = 0
         for lo, hi in members:
-            parts.append((np.int64(rank) << KEY_BITS) | (data[lo:hi] + KEY_LIMIT))
-            rank += 1
-        rows.append(np.concatenate(parts))
-    packed = pad_and_stack(rows, tile, int(pad))
-    return tiles, packed
+            out[lo:hi] = row[pos : pos + (hi - lo)]
+            pos += hi - lo
 
 
 def cf_batched_backend(
@@ -91,61 +121,27 @@ def cf_batched_backend(
     w: int,
 ) -> "BatchOutcome":
     """Sort a micro-batch through the batched CF engine lane."""
+    from repro.mergesort.pipeline import gpu_mergesort
     from repro.service.backends import BatchOutcome
 
+    check_cf_geometry("cf-batched", params, w)
     E, u = params.E, params.u
     tile = u * E
-    if not coprime(w, E):
-        raise ParameterError("cf-batched requires coprime w, E")
-    if u % w or u & (u - 1):
-        raise ParameterError(f"cf-batched requires u={u} a power-of-two multiple of w={w}")
-
-    data = np.asarray(data, dtype=np.int64)
-    if data.ndim != 1:
-        raise ParameterError("data must be one-dimensional")
-    bounds = list(offsets) + [len(data)]
-    if offsets and bounds[0] != 0:
-        raise ParameterError("the first segment offset must be 0")
-    for prev, nxt in zip(bounds, bounds[1:]):
-        if nxt < prev:
-            raise ParameterError("segment offsets must be non-decreasing")
-    if bounds[:-1] and bounds[-2] > len(data):
-        raise ParameterError("segment offsets exceed the data length")
-    if len(data) and (data.min() <= -KEY_LIMIT or data.max() >= KEY_LIMIT):
-        raise ParameterError(f"keys must fit in +-2^{KEY_BITS - 1}")
-
-    out = data.copy()
+    enc = encode_segments(data, offsets)
+    out = np.array(data, dtype=np.int64)
     total = Counters()
     launches = 0
-    if not offsets:
-        return BatchOutcome(data=out, counters=total, launches=0)
-
-    short: list[tuple[int, int]] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi <= lo:
-            continue
-        if hi - lo <= tile:
-            short.append((lo, hi))
-        else:
-            from repro.mergesort.pipeline import gpu_mergesort
-
-            result = gpu_mergesort(data[lo:hi], E=E, u=u, w=w, variant="cf")
-            out[lo:hi] = result.data
-            total.merge(result.total_counters)
-            launches += 1
+    short, long = split_segments(enc, tile)
+    for lo, hi in long:
+        result = gpu_mergesort(enc.words[lo:hi], E=E, u=u, w=w, variant="cf")
+        out[lo:hi] = decode_words(result.data, enc.uniq)
+        total.merge(result.total_counters)
+        launches += 1
 
     if short:
-        tiles, packed = pack_tiles(data, short, tile)
-        per_tile = batched_blocksort_profile(packed, E, w, "cf")
-        for c in per_tile:
+        tiles, packed = pack_tiles(enc, short, tile)
+        for c in batched_blocksort_profile(packed, E, w, "cf"):
             total.merge(c)
         launches += len(tiles)
-        sorted_tiles = np.sort(packed, axis=1)
-        mask = np.int64((1 << KEY_BITS) - 1)
-        for row, members in zip(sorted_tiles, tiles):
-            keys = (row & mask) - KEY_LIMIT
-            pos = 0
-            for lo, hi in members:
-                out[lo:hi] = keys[pos : pos + (hi - lo)]
-                pos += hi - lo
+        unpack_tiles(enc, tiles, np.sort(packed, axis=1), out)
     return BatchOutcome(data=out, counters=total, launches=launches)

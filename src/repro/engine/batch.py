@@ -36,7 +36,6 @@ __all__ = [
     "BatchCounters",
     "pad_and_stack",
     "odd_even_sort_rows",
-    "batched_pointer_merge_profile",
     "batched_serial_merge_profile",
     "batched_search_profile",
     "batched_cf_merge_profile",
@@ -74,11 +73,8 @@ class _FusionStats:
         self.stage_passes = 0
         self.stage_rounds_folded = 0
         self.fused_blocksorts = 0
-        self.fallback_blocksorts = 0
         self.fused_merges = 0
-        self.fallback_merges = 0
         self.fused_searches = 0
-        self.fallback_searches = 0
 
     def note_round(self) -> None:
         with self._lock:
@@ -94,8 +90,8 @@ class _FusionStats:
             self.stage_passes += 1
             self.stage_rounds_folded += rounds
 
-    def note_profile(self, name: str, fused: bool) -> None:
-        attr = ("fused_" if fused else "fallback_") + name
+    def note_profile(self, name: str) -> None:
+        attr = "fused_" + name
         with self._lock:
             setattr(self, attr, getattr(self, attr) + 1)
 
@@ -108,11 +104,8 @@ class _FusionStats:
                 "stage_passes": float(self.stage_passes),
                 "stage_rounds_folded": float(self.stage_rounds_folded),
                 "fused_blocksorts": float(self.fused_blocksorts),
-                "fallback_blocksorts": float(self.fallback_blocksorts),
                 "fused_merges": float(self.fused_merges),
-                "fallback_merges": float(self.fallback_merges),
                 "fused_searches": float(self.fused_searches),
-                "fallback_searches": float(self.fallback_searches),
             }
 
     def reset(self) -> None:
@@ -123,11 +116,8 @@ class _FusionStats:
             self.stage_passes = 0
             self.stage_rounds_folded = 0
             self.fused_blocksorts = 0
-            self.fallback_blocksorts = 0
             self.fused_merges = 0
-            self.fallback_merges = 0
             self.fused_searches = 0
-            self.fallback_searches = 0
 
 
 _FUSION = _FusionStats()
@@ -549,68 +539,6 @@ def odd_even_sort_rows(rows: npt.ArrayLike) -> tuple[IntArray, int]:
     return out, int(len(lo))
 
 
-def _take(backing: IntArray, idx: IntArray) -> IntArray:
-    """Row-wise gather: ``backing[t, idx[t, i]]`` for every lane."""
-    return np.take_along_axis(backing, idx, axis=1)
-
-
-def batched_pointer_merge_profile(
-    backing: IntArray,
-    a_ptr: IntArray,
-    a_end: IntArray,
-    b_ptr: IntArray,
-    b_end: IntArray,
-    E: int,
-    w: int,
-    *,
-    read_policy: str = "bounded",
-    acc: BatchCounters | None = None,
-) -> BatchCounters:
-    """Batched form of :func:`repro.mergesort.fast.pointer_merge_profile`.
-
-    Every argument is ``(tiles, u)`` over a shared ``(tiles, L)``
-    ``backing``; each tile's counters equal the scalar profile on its
-    row.  Passing ``acc`` folds the rounds into an existing accumulator
-    (blocksort levels do this)."""
-    if read_policy not in ("bounded", "always"):
-        raise ParameterError(f"unknown read_policy {read_policy!r}")
-    T, u = a_ptr.shape
-    if acc is None:
-        acc = BatchCounters(T, u, w)
-    last = backing.shape[1] - 1
-
-    a_ptr = a_ptr.astype(np.int64, copy=True)
-    b_ptr = b_ptr.astype(np.int64, copy=True)
-    a_active = a_ptr < a_end
-    acc.round(a_ptr, a_active)
-    a_key = np.where(a_active, _take(backing, np.minimum(a_ptr, last)), SENTINEL)
-    b_active = b_ptr < b_end
-    acc.round(b_ptr, b_active)
-    b_key = np.where(b_active, _take(backing, np.minimum(b_ptr, last)), SENTINEL)
-
-    pa = a_ptr.copy()
-    pb = b_ptr.copy()
-    for _ in range(E):
-        take_a = (pa < a_end) & ((pb >= b_end) | (a_key <= b_key))
-        pa = np.where(take_a, pa + 1, pa)
-        pb = np.where(take_a, pb, pb + 1)
-        next_addr = np.where(take_a, pa, pb)
-        in_range = np.where(take_a, pa < a_end, pb < b_end)
-        if read_policy == "always":
-            clamped = np.where(take_a, np.maximum(a_end - 1, 0), np.maximum(b_end - 1, 0))
-            addr = np.where(in_range, next_addr, clamped)
-            active = np.ones((T, u), dtype=bool)
-        else:
-            addr = next_addr
-            active = in_range
-        acc.round(np.minimum(addr, last), active)
-        new_key = _take(backing, np.minimum(addr, last))
-        loaded = active & in_range
-        a_key = np.where(take_a & loaded, new_key, np.where(take_a, SENTINEL, a_key))
-        b_key = np.where(~take_a & loaded, new_key, np.where(~take_a, SENTINEL, b_key))
-    return acc
-
-
 def _stack_pairs(
     pairs: Sequence[tuple[npt.ArrayLike, npt.ArrayLike]], E: int
 ) -> tuple[IntArray, IntArray, int]:
@@ -633,54 +561,22 @@ def _stack_pairs(
     return backing, n_a, total
 
 
-def _batched_block_cuts(
-    backing: IntArray, n_a: IntArray, E: int, u: int
-) -> IntArray:
-    """Per-thread merge-path cuts ``a_off[t, i]`` at diagonals ``i*E``.
+def _pack_ready(backing: IntArray) -> tuple[IntArray, type]:
+    """``backing`` and the narrowest dtype holding ``2*v + tag`` for it.
 
-    Replicates :func:`repro.mergesort.merge_path.merge_path_search`
-    element-wise (same ``lo``/``hi``/``mid`` trajectory, ties toward A),
-    vectorized over tiles × threads.  Out-of-range probe indices only
-    occur on lanes whose search already converged; they are clipped and
-    their comparisons discarded by the ``live`` mask.
+    A profile depends only on comparison outcomes, so a stack whose
+    values are too wide for the packed keys is swapped for its dense,
+    tie-preserving ranks: every counter is unchanged.
     """
-    T = backing.shape[0]
-    total = backing.shape[1]
-    n_a_col = n_a[:, None]
-    n_b_col = total - n_a_col
-    diag = (np.arange(u, dtype=np.int64) * E)[None, :]
-    lo = np.maximum(0, np.broadcast_to(diag - n_b_col, (T, u))).astype(np.int64)
-    hi = np.minimum(np.broadcast_to(diag, (T, u)), n_a_col).astype(np.int64)
-    live = lo < hi
-    last = total - 1
-    while live.any():
-        mid = (lo + hi) // 2
-        a_idx = np.minimum(np.maximum(mid, 0), np.maximum(n_a_col - 1, 0))
-        b_idx = np.minimum(np.maximum(diag - 1 - mid, 0), np.maximum(n_b_col - 1, 0))
-        a_val = _take(backing, np.minimum(a_idx, last))
-        b_val = _take(backing, np.minimum(n_a_col + b_idx, last))
-        go_right = a_val <= b_val
-        lo = np.where(live & go_right, mid + 1, lo)
-        hi = np.where(live & ~go_right, mid, hi)
-        live = lo < hi
-    return lo
-
-
-def _pack_dtype(backing: IntArray) -> type | None:
-    """Narrowest dtype holding ``2*v + tag``, or ``None`` past int64."""
     if backing.size == 0:
-        return np.int32
+        return backing, np.int32
     lo, hi = int(backing.min()), int(backing.max())
     if -(1 << 30) <= lo and hi < (1 << 30):
-        return np.int32
+        return backing, np.int32
     if -_PACK_LIMIT <= lo and hi < _PACK_LIMIT:
-        return np.int64
-    return None
-
-
-def _values_packable(backing: IntArray) -> bool:
-    """True when every value survives the ``2*v + tag`` packing in int64."""
-    return _pack_dtype(backing) is not None
+        return backing, np.int64
+    _, ranks = np.unique(backing, return_inverse=True)
+    return _pack_ready(ranks.reshape(backing.shape).astype(np.int64))
 
 
 def _halves_sorted(backing: IntArray, n_a: IntArray) -> bool:
@@ -715,6 +611,20 @@ def _packed_merge_tags(packed: IntArray) -> tuple[IntArray, IntArray]:
     return 1 - (packed & 1), packed >> 1
 
 
+def _merge_sources(backing: IntArray, n_a: IntArray) -> IntArray:
+    """Per tile and output slot, 1 where the stable merge took from A.
+
+    One packed-key sort over the whole stack; every tile's A and B halves
+    must each be sorted (the merge precondition), else ``ParameterError``.
+    """
+    if not _halves_sorted(backing, n_a):
+        raise ParameterError("each tile's A and B halves must be sorted")
+    backing, _ = _pack_ready(backing)
+    tag = np.arange(backing.shape[1], dtype=np.int64)[None, :] >= n_a[:, None]
+    from_a, _ = _packed_merge_tags(backing * 2 + tag)
+    return from_a
+
+
 def _fused_pointer_merge_rounds(
     acc: BatchCounters,
     take_a: BoolArray,
@@ -726,7 +636,7 @@ def _fused_pointer_merge_rounds(
     length: int,
     read_policy: str,
 ) -> None:
-    """Replay :func:`batched_pointer_merge_profile`'s rounds in closed form.
+    """Replay the sequential pointer merge's rounds in closed form.
 
     ``take_a`` is ``(tiles, u, E)``: the merge decision each thread makes
     at each of its ``E`` steps (known up front from the packed-sort
@@ -735,7 +645,8 @@ def _fused_pointer_merge_rounds(
     ``j + 1 - csum[j]`` B elements — so every round's addresses and
     active masks are closed-form and the whole merge (initial key loads
     plus ``E`` advance rounds) folds into one :meth:`BatchCounters
-    .round_many` call, bit-identical to the sequential loop.  Every
+    .round_many` call, bit-identical to the sequential loop of
+    :func:`repro.mergesort.fast.pointer_merge_profile`.  Every
     address stays below ``length``, so the sequential loop's safety
     clamp is a no-op here and is skipped.
 
@@ -813,13 +724,11 @@ def batched_serial_merge_profile(
     """Batched :func:`repro.mergesort.fast.serial_merge_profile`.
 
     Profiles every (A, B) pair's baseline serial merge in one vectorized
-    pass.  When every tile's halves are sorted (the contract real merge
-    inputs satisfy) and values survive key packing, the fused path runs:
-    one packed-key sort yields the merge decisions, the merge-path cuts
-    fall out of a prefix sum over the source tags, and all pointer-merge
-    rounds fold into a single stacked accounting pass.  Otherwise the
-    original bisection + sequential pointer loop runs — both paths are
-    bit-identical to the scalar profile per tile."""
+    pass: one packed-key sort yields the merge decisions, the merge-path
+    cuts fall out of a prefix sum over the source tags, and all
+    pointer-merge rounds fold into a single stacked accounting pass —
+    bit-identical to the scalar profile per tile.  Every tile's halves
+    must be sorted (the contract real merge inputs satisfy)."""
     if read_policy not in ("bounded", "always"):
         raise ParameterError(f"unknown read_policy {read_policy!r}")
     backing, n_a, total = _stack_pairs(pairs, E)
@@ -828,35 +737,22 @@ def batched_serial_merge_profile(
         raise ParameterError(f"thread count {u} must be a multiple of w = {w}")
     T = backing.shape[0]
     diag = (np.arange(u, dtype=np.int64) * E)[None, :]
-    fused = _values_packable(backing) and _halves_sorted(backing, n_a)
-    _FUSION.note_profile("merges", fused)
-    if fused:
-        tag = (
-            np.arange(total, dtype=np.int64)[None, :] >= n_a[:, None]
-        ).astype(np.int64)
-        from_a, _ = _packed_merge_tags(backing * 2 + tag)
-        take_a = from_a.reshape(T, u, E) != 0
-        # Cut at diagonal i*E = #A outputs before thread i; whole-row
-        # prefix sums collapse to per-thread tag counts.
-        cnt = take_a.sum(axis=2, dtype=np.int64)
-        a_off = np.cumsum(cnt, axis=1) - cnt
-    else:
-        a_off = _batched_block_cuts(backing, n_a, E, u)
+    _FUSION.note_profile("merges")
+    take_a = _merge_sources(backing, n_a).reshape(T, u, E) != 0
+    # Cut at diagonal i*E = #A outputs before thread i; whole-row
+    # prefix sums collapse to per-thread tag counts.
+    cnt = take_a.sum(axis=2, dtype=np.int64)
+    a_off = np.cumsum(cnt, axis=1) - cnt
     # a_end[i] = next thread's cut; the last thread ends at |A|.
     a_end = np.empty_like(a_off)
     a_end[:, :-1] = a_off[:, 1:]
     a_end[:, -1] = n_a
     b_ptr = n_a[:, None] + (diag - a_off)
     b_end = n_a[:, None] + (diag + E) - a_end
-    if fused:
-        acc = BatchCounters(T, u, w)
-        _fused_pointer_merge_rounds(
-            acc, take_a, a_off, a_end, b_ptr, b_end, E, total, read_policy
-        )
-    else:
-        acc = batched_pointer_merge_profile(
-            backing, a_off, a_end, b_ptr, b_end, E, w, read_policy=read_policy
-        )
+    acc = BatchCounters(T, u, w)
+    _fused_pointer_merge_rounds(
+        acc, take_a, a_off, a_end, b_ptr, b_end, E, total, read_policy
+    )
     return acc.to_counters()
 
 
@@ -874,13 +770,13 @@ def batched_search_profile(
     per-element Python calls; the search trajectory itself reads plain
     values, exactly like the scalar profile.
 
-    When the tiles' halves are sorted and values survive key packing,
-    the bisections are *replayed* instead of executed: the final cuts
+    The bisections are *replayed* instead of executed: the final cuts
     come from one packed-key sort, and along the real probe path every
     branch outcome equals ``cut > mid`` (each branch keeps
     ``lo <= cut <= hi``), so the probe addresses and live masks are
     reproduced exactly with no data reads, and all probe rounds fold
-    into one stacked accounting pass."""
+    into one stacked accounting pass.  Every tile's halves must be
+    sorted."""
     backing, n_a, total = _stack_pairs(pairs, E)
     T = backing.shape[0]
     u = total // E
@@ -890,16 +786,9 @@ def batched_search_profile(
     fwd = np.asarray(get_plan("rho", total, E, w)["fwd"]) if mapped else None
     last = total - 1
 
-    fused = _values_packable(backing) and _halves_sorted(backing, n_a)
-    _FUSION.note_profile("searches", fused)
-    cuts: IntArray | None = None
-    if fused:
-        tag = (
-            np.arange(total, dtype=np.int64)[None, :] >= n_a_col
-        ).astype(np.int64)
-        from_a, _ = _packed_merge_tags(backing * 2 + tag)
-        cnt = from_a.reshape(T, u, E).sum(axis=2, dtype=np.int64)
-        cuts = np.cumsum(cnt, axis=1) - cnt
+    _FUSION.note_profile("searches")
+    cnt = _merge_sources(backing, n_a).reshape(T, u, E).sum(axis=2, dtype=np.int64)
+    cuts = np.cumsum(cnt, axis=1) - cnt
 
     rounds_addr: list[IntArray] = []
     rounds_live: list[BoolArray] = []
@@ -924,30 +813,11 @@ def batched_search_profile(
             b_addr = n_a_col + np.minimum(
                 np.maximum(b_idx, 0), np.maximum(n_b_col - 1, 0)
             )
-        if cuts is not None:
-            rounds_addr.append(np.broadcast_to(a_addr, (T, u)))
-            rounds_live.append(live)
-            rounds_addr.append(np.broadcast_to(b_addr, (T, u)))
-            rounds_live.append(live)
-            go_right = cuts > mid
-        else:
-            acc.round(a_addr, live)
-            acc.round(b_addr, live)
-            a_val = _take(
-                backing,
-                np.minimum(
-                    np.minimum(np.maximum(mid, 0), np.maximum(n_a_col - 1, 0)), last
-                ),
-            )
-            b_val = _take(
-                backing,
-                np.minimum(
-                    n_a_col
-                    + np.minimum(np.maximum(b_idx, 0), np.maximum(n_b_col - 1, 0)),
-                    last,
-                ),
-            )
-            go_right = a_val <= b_val
+        rounds_addr.append(np.broadcast_to(a_addr, (T, u)))
+        rounds_live.append(live)
+        rounds_addr.append(np.broadcast_to(b_addr, (T, u)))
+        rounds_live.append(live)
+        go_right = cuts > mid
         lo = np.where(live & go_right, mid + 1, lo)
         hi = np.where(live & ~go_right, mid, hi)
         live = lo < hi
@@ -1023,15 +893,14 @@ def batched_blocksort_profile(
     ``tiles`` is ``(n_tiles, u*E)``; each tile's counters equal the
     scalar profile on its row.
 
-    When values survive key packing (the common case), each merge level
-    runs *fused*: one packed-key sort per level advances the data **and**
-    yields every thread's merge-path cut (a prefix sum over source tags)
-    and merge decisions.  The per-pair bisections are then replayed
-    without data reads (branch outcome ``== cut > mid`` along the real
-    probe path) and folded — with the closed-form pointer-merge rounds —
-    into stacked accounting passes; staging rounds fold analytically.
-    Otherwise the original per-round loop runs.  Both paths are
-    bit-identical to the scalar profile per tile."""
+    Each merge level runs *fused*: one packed-key sort per level advances
+    the data **and** yields every thread's merge-path cut (a prefix sum
+    over source tags) and merge decisions.  The per-pair bisections are
+    then replayed without data reads (branch outcome ``== cut > mid``
+    along the real probe path) and folded — with the closed-form
+    pointer-merge rounds — into stacked accounting passes; staging rounds
+    fold analytically.  Values too wide for the packed keys are ranked
+    first (see :func:`_pack_ready`)."""
     tiles = np.asarray(tiles, dtype=np.int64)
     if tiles.ndim != 2:
         raise ParameterError("batched blocksort expects a (tiles, u*E) array")
@@ -1049,14 +918,9 @@ def batched_blocksort_profile(
         raise ParameterError("fast cf blocksort profile requires coprime w, E")
 
     acc = BatchCounters(T, u, w)
-    pack_dtype = _pack_dtype(tiles)
-    _FUSION.note_profile("blocksorts", pack_dtype is not None)
-    if pack_dtype is not None:
-        _fused_blocksort_rounds(
-            acc, tiles, E, w, u, variant, read_policy, pack_dtype
-        )
-    else:
-        _looped_blocksort_rounds(acc, tiles, E, w, u, variant, read_policy)
+    tiles, pack_dtype = _pack_ready(tiles)
+    _FUSION.note_profile("blocksorts")
+    _fused_blocksort_rounds(acc, tiles, E, w, u, variant, read_policy, pack_dtype)
     return acc.to_counters()
 
 
@@ -1181,89 +1045,6 @@ def _fused_blocksort_rounds(
         np.bitwise_and(packed, -2, out=packed)
         g *= 2
         level += 1
-
-    # Final staging pass.
-    _batched_stage_rounds(acc, u, E, kind="write")
-
-
-def _looped_blocksort_rounds(
-    acc: BatchCounters,
-    tiles: IntArray,
-    E: int,
-    w: int,
-    u: int,
-    variant: str,
-    read_policy: str,
-) -> None:
-    """The original per-round blocksort loop (non-packable value fallback)."""
-    T, L = tiles.shape
-    tids = np.arange(u, dtype=np.int64)
-    last = L - 1
-
-    # Phase 1: load E contiguous words per thread, sort in registers.
-    _batched_stage_rounds(acc, u, E, kind="read")
-    regs = np.sort(tiles.reshape(T, u, E), axis=2)
-
-    g = 1
-    while g < u:
-        region = 2 * g * E
-        half = g * E
-        plain = regs.reshape(T, L)
-
-        # Staging writes (same residue rounds for both variants).
-        _batched_stage_rounds(acc, u, E, kind="write")
-
-        # Per-pair merge-path searches: count the probe traffic and keep
-        # the converged ``lo`` — it *is* the per-thread cut.
-        pbase = (tids * E) // region * region
-        tau = tids - pbase // E
-        diag = tau * E
-        lo = np.broadcast_to(np.maximum(0, diag - half), (T, u)).astype(np.int64)
-        hi = np.broadcast_to(np.minimum(diag, half), (T, u)).astype(np.int64)
-        live = lo < hi
-        while live.any():
-            mid = (lo + hi) // 2
-            b_idx = np.clip(diag - 1 - mid, 0, half - 1)
-            a_addr = pbase + mid
-            if variant == "cf":
-                b_addr = pbase + (region - 1 - b_idx)
-            else:
-                b_addr = pbase + half + b_idx
-            acc.round(a_addr, live)
-            acc.round(b_addr, live)
-            a_val = _take(plain, np.minimum(pbase + mid, last))
-            b_val = _take(plain, np.minimum(pbase + half + b_idx, last))
-            go_right = a_val <= b_val
-            lo = np.where(live & go_right, mid + 1, lo)
-            hi = np.where(live & ~go_right, mid, hi)
-            live = lo < hi
-        a_off = lo
-
-        # Merges.
-        if variant == "thrust":
-            a_end = np.empty_like(a_off)
-            a_end[:, :-1] = a_off[:, 1:]
-            a_end[:, -1] = 0
-            pair_last = tau == (region // E - 1)
-            a_end = np.where(pair_last, half, a_end)
-            a_ptr = pbase + a_off
-            a_end_v = pbase + a_end
-            b_ptr = pbase + half + (diag - a_off)
-            b_end_v = b_ptr + (E - (a_end - a_off))
-            batched_pointer_merge_profile(
-                plain, a_ptr, a_end_v, b_ptr, b_end_v, E, w,
-                read_policy=read_policy, acc=acc,
-            )
-        else:
-            # CF gather: E conflict-free read rounds per warp, per tile.
-            n_warps = u // w
-            acc.shared_read_rounds += E * n_warps
-            acc.shared_cycles += E * n_warps
-            acc.shared_requests += E * u
-
-        n_pairs = L // region
-        regs = np.sort(plain.reshape(T, n_pairs, region), axis=2).reshape(T, u, E)
-        g *= 2
 
     # Final staging pass.
     _batched_stage_rounds(acc, u, E, kind="write")

@@ -29,7 +29,7 @@ from repro.service.batching import BatchPolicy, MicroBatch, plan_batches
 from repro.service.jobs import batch_job, run_batch
 from repro.service.metrics import METRICS_SCHEMA, BatchRecord, ServiceMetrics
 from repro.service.pool import ShardedWorkerPool
-from repro.service.request import KEY_LIMIT, SortRequest, SortResult
+from repro.service.request import SortRequest, SortResult
 from repro.service.scheduler import BatchScheduler, PendingRequest
 from repro.service.service import (
     DEFAULT_PARAMS,
@@ -41,7 +41,6 @@ from repro.service.service import (
 from repro.service.synthetic import run_synchronous, synth_payloads, synth_requests
 
 __all__ = [
-    "KEY_LIMIT",
     "SortRequest",
     "SortResult",
     "BatchOutcome",

@@ -44,14 +44,14 @@ new variants without touching the scheduler or the worker pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.config import SortParams
 from repro.errors import ParameterError
-from repro.mergesort.segmented import segmented_sort
+from repro.mergesort.segmented import decode_words, encode_segments, segmented_sort
 from repro.sim.counters import Counters
 
 __all__ = [
@@ -143,6 +143,29 @@ def _cf_cluster(
 KWAY_BACKEND_FANIN = 4
 
 
+def _each_segment(
+    data: npt.NDArray[np.int64],
+    offsets: Sequence[int],
+    sort: Callable[[npt.NDArray[np.int64]], Any],
+    launches_of: Callable[[Any], int],
+) -> BatchOutcome:
+    """Sort each non-empty segment's codec words alone with ``sort``.
+
+    ``sort`` returns a pipeline result (``.data``, ``.total_counters``);
+    ``launches_of`` counts the launches that result cost.
+    """
+    enc = encode_segments(data, offsets)
+    out = np.array(data, dtype=np.int64)
+    counters = Counters()
+    launches = 0
+    for lo, hi in enc.segments:
+        result = sort(enc.words[lo:hi])
+        out[lo:hi] = decode_words(result.data, enc.uniq)
+        counters.merge(result.total_counters)
+        launches += launches_of(result)
+    return BatchOutcome(data=out, counters=counters, launches=max(launches, 1))
+
+
 def _kway_backend(
     data: npt.NDArray[np.int64],
     offsets: Sequence[int],
@@ -152,20 +175,14 @@ def _kway_backend(
     """Sort each segment with the k-way CF pipeline (fan-in 4)."""
     from repro.mergesort.kway import kway_sort
 
-    out = data.copy()
-    counters = Counters()
-    launches = 0
-    bounds = list(offsets) + [len(data)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi == lo:
-            continue
-        result = kway_sort(
-            data[lo:hi], KWAY_BACKEND_FANIN, params.E, params.u, w, variant="cf"
-        )
-        out[lo:hi] = result.data
-        counters.merge(result.total_counters)
-        launches += 1 + result.merge_level_count
-    return BatchOutcome(data=out, counters=counters, launches=max(launches, 1))
+    return _each_segment(
+        data,
+        offsets,
+        lambda words: kway_sort(
+            words, KWAY_BACKEND_FANIN, params.E, params.u, w, variant="cf"
+        ),
+        lambda result: 1 + result.merge_level_count,
+    )
 
 
 def _samplesort_backend(
@@ -177,19 +194,13 @@ def _samplesort_backend(
     """Sort each segment with the deterministic sample-sort pipeline."""
     from repro.mergesort.samplesort import sample_sort
 
-    out = data.copy()
-    counters = Counters()
-    launches = 0
-    bounds = list(offsets) + [len(data)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi == lo:
-            continue
-        result = sample_sort(data[lo:hi], params.E, params.u, w, variant="cf")
-        out[lo:hi] = result.data
-        counters.merge(result.total_counters)
+    return _each_segment(
+        data,
+        offsets,
+        lambda words: sample_sort(words, params.E, params.u, w, variant="cf"),
         # Tile sort, scatter, bucket sort: three launch waves per segment.
-        launches += 3 if result.n_tiles > 1 else 1
-    return BatchOutcome(data=out, counters=counters, launches=max(launches, 1))
+        lambda result: 3 if result.n_tiles > 1 else 1,
+    )
 
 
 #: The names every stock service exposes, in dispatch-priority order.

@@ -24,10 +24,6 @@ __all__ = ["REQUEST_KINDS", "SortRequest", "SortResult", "validate_request_data"
 #: (packed composite-key words from :mod:`repro.columns.service`).
 REQUEST_KINDS: tuple[str, ...] = ("flat", "columns")
 
-#: ``repro.mergesort.segmented`` packs keys with the segment id into one
-#: 64-bit word, so batched keys must fit in ±2^39 (its ``_KEY_LIMIT``).
-KEY_LIMIT = 1 << 39
-
 #: Error-name -> exception class map for :meth:`SortResult.raise_if_failed`.
 _ERROR_CLASSES: dict[str, type[ServiceError]] = {
     "QueueFullError": QueueFullError,
@@ -39,21 +35,19 @@ _ERROR_CLASSES: dict[str, type[ServiceError]] = {
 def validate_request_data(data: npt.NDArray[np.int64]) -> npt.NDArray[np.int64]:
     """Check (and return) one request's payload array.
 
-    The service batches requests through the segmented sort, whose packed
-    (segment-id, key) trick bounds keys to ±2^39; anything outside that —
-    or not 1-D integer data — is rejected at admission time with
-    :class:`~repro.errors.ParameterError`, before it can poison a whole
-    micro-batch.
+    Payloads must be 1-D integer arrays whose values fit int64 (every
+    backend accepts the full int64 range); anything else is rejected at
+    admission time with :class:`~repro.errors.ParameterError`, before it
+    can poison a whole micro-batch.
     """
     arr = np.asarray(data)
     if arr.ndim != 1:
         raise ParameterError(f"request data must be one-dimensional, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise ParameterError(f"request data must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64)
-    if len(arr) and (int(arr.min()) <= -KEY_LIMIT or int(arr.max()) >= KEY_LIMIT):
-        raise ParameterError("request values must fit in +-2^39 (segmented-sort key limit)")
-    return arr
+    if arr.dtype.kind == "u" and len(arr) and int(arr.max()) > np.iinfo(np.int64).max:
+        raise ParameterError("request values must fit in int64")
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)

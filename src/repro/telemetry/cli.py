@@ -123,8 +123,7 @@ def _profile_engine(args: argparse.Namespace) -> str:
         f"tiles={n_tiles} (cold + warm pass)",
         "",
         f"passes fused: {int(fusion['fused_blocksorts'])} fused blocksort "
-        f"passes, {int(fusion['fallback_blocksorts'])} fallback; "
-        f"{int(fusion['round_many_calls'])} round_many calls folded "
+        f"passes; {int(fusion['round_many_calls'])} round_many calls folded "
         f"{folded} rounds ({int(fusion['round_calls'])} single rounds left)",
         f"arena reuse: {int(arena['reuse_hits'])}/{int(arena['checkouts'])} "
         f"checkouts served from the pool "

@@ -52,11 +52,8 @@ COUNTER_PREFIXES = (
     "engine.fusion.stage_passes",
     "engine.fusion.stage_rounds_folded",
     "engine.fusion.fused_blocksorts",
-    "engine.fusion.fallback_blocksorts",
     "engine.fusion.fused_merges",
-    "engine.fusion.fallback_merges",
     "engine.fusion.fused_searches",
-    "engine.fusion.fallback_searches",
     "cluster.tasks_executed",
     "cluster.tasks_inline",
     "cluster.tasks_process",

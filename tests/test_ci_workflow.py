@@ -108,6 +108,7 @@ def test_lint_job_gates_ruff_and_strict_mypy(workflow):
     assert "src/repro/replay" in steps
     assert "src/repro/mergesort/kway.py" in steps
     assert "src/repro/mergesort/samplesort.py" in steps
+    assert "src/repro/mergesort/segmented.py" in steps
 
 
 def test_smoke_job_runs_quick_suite_and_perf_gate(workflow):

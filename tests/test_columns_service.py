@@ -21,11 +21,8 @@ from repro.columns.profiler import (
     profile_columns,
 )
 from repro.columns.reference import sort_by_reference
-from repro.columns.service import (
-    SERVICE_KEY_BITS,
-    pack_for_service,
-    sort_table,
-)
+from repro.columns.keys import WORD_BITS
+from repro.columns.service import pack_for_service, sort_table
 from repro.columns.table import Table
 from repro.errors import ParameterError
 from repro.service.request import REQUEST_KINDS, SortRequest
@@ -49,21 +46,28 @@ class TestRequestKind:
 
 
 class TestServiceRoute:
-    def test_pack_respects_the_39_bit_budget(self):
+    def test_pack_respects_the_word_budget(self):
         table = demo_table(32, seed=0)
         words, index_bits = pack_for_service(table, ["id", "score"])
         assert index_bits == 5
-        assert int(np.abs(words).max()).bit_length() <= SERVICE_KEY_BITS
+        assert WORD_BITS == 63
+        assert int(words.min()) >= 0
+        assert int(words.max()).bit_length() <= WORD_BITS
         # Low index_bits bits recover each row exactly once.
         rows = words & ((1 << index_bits) - 1)
         assert sorted(rows.tolist()) == list(range(32))
 
-    def test_pack_overflow_is_a_typed_error(self):
-        # 2^19 + 1 all-distinct keys need 20 key bits and 20 index bits:
-        # one past the 39-bit budget even after the re-rank rescue.
+    def test_pack_overflow_is_a_typed_error(self, monkeypatch):
+        # A 63-bit word holds any table that fits in memory, so the
+        # overflow path is driven through a narrower budget: 2^19 + 1
+        # all-distinct keys need 20 key bits and 20 index bits, one past
+        # 39 bits even after the re-rank rescue.
+        import repro.columns.service as columns_service
+
+        monkeypatch.setattr(columns_service, "WORD_BITS", 39)
         n = (1 << 19) + 1
         table = Table.from_arrays({"k": np.arange(n, dtype=np.int64)})
-        with pytest.raises(ParameterError, match="service key limit"):
+        with pytest.raises(ParameterError, match="service word limit"):
             pack_for_service(table, ["k"])
 
     def test_sort_table_through_a_live_service(self):

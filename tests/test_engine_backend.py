@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from repro.config import SortParams
-from repro.engine.backend import KEY_BITS, KEY_LIMIT, cf_batched_backend, pack_tiles
+from repro.engine.backend import cf_batched_backend, pack_tiles
 from repro.errors import ParameterError
 from repro.mergesort.fast import blocksort_profile
+from repro.mergesort.segmented import decode_words, encode_segments
 from repro.service.backends import available_backends, get_backend
 from repro.sim.counters import Counters
 
@@ -78,9 +79,8 @@ class TestCounterContract:
         outcome = cf_batched_backend(data, offsets, PARAMS, W)
 
         tile = PARAMS.tile_elements
-        bounds = offsets + [len(data)]
-        segs = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        tiles, packed = pack_tiles(data, segs, tile)
+        enc = encode_segments(data, offsets)
+        tiles, packed = pack_tiles(enc, enc.segments, tile)
         want = Counters()
         for row in packed:
             want.merge(blocksort_profile(row.copy(), PARAMS.E, W, "cf"))
@@ -105,32 +105,34 @@ class TestValidation:
         with pytest.raises(ParameterError):
             cf_batched_backend(np.arange(10), [2, 5], PARAMS, W)
 
-    def test_oversized_keys_rejected(self):
-        data = np.array([KEY_LIMIT], dtype=np.int64)
-        with pytest.raises(ParameterError):
-            cf_batched_backend(data, [0], PARAMS, W)
+    def test_full_int64_keys_accepted(self):
+        info = np.iinfo(np.int64)
+        data = np.array([info.max, 3, info.min, info.max, -1, info.min], dtype=np.int64)
+        outcome = cf_batched_backend(data, [0, 2], PARAMS, W)
+        assert outcome.data.tolist() == [3, info.max, info.min, info.min, -1, info.max]
 
 
 class TestPackTiles:
     def test_first_fit_never_splits_a_segment(self):
-        data = np.arange(300, dtype=np.int64)
-        segs = [(0, 100), (100, 200), (200, 300)]
-        tiles, packed = pack_tiles(data, segs, 160)
+        enc = encode_segments(np.arange(300, dtype=np.int64), [0, 100, 200])
+        tiles, packed = pack_tiles(enc, enc.segments, 160)
         assert [len(t) for t in tiles] == [1, 1, 1]
         assert packed.shape == (3, 160)
 
     def test_packed_words_round_trip(self):
-        data = np.array([5, -3, 7, 0], dtype=np.int64)
-        _, packed = pack_tiles(data, [(0, 2), (2, 4)], 4)
-        mask = np.int64((1 << KEY_BITS) - 1)
-        keys = (packed[0] & mask) - KEY_LIMIT
-        assert keys.tolist() == [5, -3, 7, 0]
-        ranks = (packed[0] >> KEY_BITS).tolist()
-        assert ranks == [0, 0, 1, 1]
+        data = np.array([5, -3, 7, 0, 5], dtype=np.int64)
+        enc = encode_segments(data, [0, 2])
+        _, packed = pack_tiles(enc, enc.segments, 6)
+        # Word = segment_rank * m + key_rank over m = 4 distinct keys;
+        # the tail holds the pad word n_segments * m.
+        assert packed[0].tolist() == [2, 0, 7, 5, 6, 8]
+        assert enc.pad == 8
+        assert decode_words(packed[0, :5], enc.uniq).tolist() == data.tolist()
 
     def test_segment_larger_than_tile_rejected(self):
+        enc = encode_segments(np.arange(10, dtype=np.int64), [0])
         with pytest.raises(ParameterError):
-            pack_tiles(np.arange(10, dtype=np.int64), [(0, 10)], 8)
+            pack_tiles(enc, enc.segments, 8)
 
 
 class TestServiceIntegration:

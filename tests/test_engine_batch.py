@@ -132,6 +132,54 @@ class TestMergeAndSearchCrossValidation:
             assert batched[k].as_dict() == want.as_dict()
 
 
+def _wide_rows(n_rows, length, seed):
+    """Full-range int64 rows with both extremes and heavy ties."""
+    info = np.iinfo(np.int64)
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate(
+        [[info.min, info.max, info.min + 1, info.max - 1, 0],
+         rng.integers(info.min, info.max, 6, dtype=np.int64)]
+    )
+    return rng.choice(pool, (n_rows, length)).astype(np.int64)
+
+
+class TestWideValues:
+    """Values past the packed-key range are ranked first, never looped."""
+
+    @pytest.mark.parametrize("E,u,w", [(5, 32, 8), (7, 32, 32), (15, 64, 32), (4, 16, 8)])
+    def test_blocksort_equals_fast_on_full_range_int64(self, E, u, w):
+        rows = _wide_rows(3, u * E, seed=E * u)
+        for variant in ("thrust", "cf"):
+            if variant == "cf" and np.gcd(E, w) != 1:
+                continue
+            batched = batched_blocksort_profile(rows, E, w, variant)
+            for k in range(rows.shape[0]):
+                single = blocksort_profile(rows[k].copy(), E, w, variant)
+                assert batched[k].as_dict() == single.as_dict(), f"{variant} tile {k}"
+
+    @pytest.mark.parametrize("E,u,w", [(5, 32, 8), (16, 64, 32)])
+    def test_merge_and_search_equal_fast_on_full_range_int64(self, E, u, w):
+        pairs = []
+        for k, row in enumerate(_wide_rows(3, u * E, seed=E + u)):
+            vals = np.sort(row)
+            mask = np.random.default_rng(k).random(len(vals)) < 0.5
+            pairs.append((vals[mask], vals[~mask]))
+        merges = batched_serial_merge_profile(pairs, E, w)
+        searches = batched_search_profile(pairs, E, w, mapped=True)
+        for k, (a, b) in enumerate(pairs):
+            assert merges[k].as_dict() == serial_merge_profile(a, b, E, w).as_dict()
+            want = search_profile(a, b, E, w, mapped=True)
+            assert searches[k].as_dict() == want.as_dict()
+
+    def test_unsorted_merge_halves_rejected(self):
+        a = np.array([3, 1, 2, 4, 5], dtype=np.int64)
+        b = np.arange(5, dtype=np.int64)
+        with pytest.raises(ParameterError, match="sorted"):
+            batched_serial_merge_profile([(a, b)], 5, 2)
+        with pytest.raises(ParameterError, match="sorted"):
+            batched_search_profile([(a, b)], 5, 2)
+
+
 class TestRowPrimitives:
     def test_odd_even_sort_rows_sorts_and_counts(self):
         rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ from repro.errors import (
     ReproError,
     ServiceError,
 )
-from repro.service import KEY_LIMIT, SortRequest, SortResult
+from repro.service import SortRequest, SortResult
 from repro.service.request import validate_request_data
 
 
@@ -30,16 +30,19 @@ class TestValidateRequestData:
         with pytest.raises(ParameterError):
             validate_request_data(np.array([1.5, 2.5]))
 
-    @pytest.mark.parametrize("value", [KEY_LIMIT, -KEY_LIMIT, KEY_LIMIT + 7])
-    def test_rejects_values_outside_key_limit(self, value):
-        with pytest.raises(ParameterError):
-            validate_request_data(np.array([value], dtype=np.int64))
+    def test_rejects_uint64_past_int64(self):
+        # astype(int64) would wrap these silently, so admission must
+        # reject them explicitly.
+        for value in (2**63, 2**63 + 7, 2**64 - 1):
+            with pytest.raises(ParameterError, match="int64"):
+                validate_request_data(np.array([1, value], dtype=np.uint64))
 
     def test_accepts_boundary_values(self):
-        out = validate_request_data(
-            np.array([KEY_LIMIT - 1, -(KEY_LIMIT - 1)], dtype=np.int64)
-        )
-        assert len(out) == 2
+        info = np.iinfo(np.int64)
+        out = validate_request_data(np.array([info.max, info.min], dtype=np.int64))
+        assert out.tolist() == [info.max, info.min]
+        top = validate_request_data(np.array([info.max], dtype=np.uint64))
+        assert top.dtype == np.int64 and top.tolist() == [info.max]
 
     def test_accepts_empty(self):
         assert len(validate_request_data(np.array([], dtype=np.int64))) == 0
@@ -48,7 +51,7 @@ class TestValidateRequestData:
 class TestSortRequest:
     def test_validates_on_construction(self):
         with pytest.raises(ParameterError):
-            SortRequest(request_id=0, data=np.array([KEY_LIMIT], dtype=np.int64))
+            SortRequest(request_id=0, data=np.array([2**63], dtype=np.uint64))
 
     def test_rejects_nonpositive_deadline(self):
         with pytest.raises(ParameterError):
