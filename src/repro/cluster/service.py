@@ -7,8 +7,8 @@ and :func:`~repro.engine.backend.unpack_tiles` — but the two heavy
 phases execute as pool tasks instead of driver loops:
 
 * each **long segment** (> one tile) becomes a ``pipeline_segment`` task
-  (the simulated ``gpu_mergesort`` fallback, exactly the single-process
-  long path);
+  (a ``gpu_mergesort`` call on the batched multi-level driver, exactly
+  the single-process long path);
 * the packed tile matrix is staged into shared memory and profiled/
   sorted by ``blocksort_rows`` tasks over fixed row blocks.
 

@@ -19,10 +19,13 @@ vectorized pass through :mod:`repro.engine.batch`:
 * padding rule — tile tails are padded with the codec's pad word, which
   sorts after every packed word; padding is per tile, never per segment.
 
-Segments longer than one tile fall back to the simulated pipeline, like
-:func:`repro.mergesort.segmented.segmented_sort`'s long path.  The CF
-fast profile requires coprime ``(w, E)`` and a power-of-two ``u`` —
-geometry violations raise, they are never silently approximated.
+Segments longer than one tile go through
+:func:`~repro.mergesort.pipeline.gpu_mergesort`, like
+:func:`repro.mergesort.segmented.segmented_sort`'s long path; at the
+geometries this backend accepts that is the batched multi-level driver
+(:mod:`repro.engine.pipeline`).  The CF fast profile requires coprime
+``(w, E)`` and a power-of-two ``u`` — geometry violations raise, they
+are never silently approximated.
 """
 
 from __future__ import annotations

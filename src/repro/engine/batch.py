@@ -21,7 +21,8 @@ that already converged, because every count is masked per lane.
 from __future__ import annotations
 
 import threading
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -40,11 +41,13 @@ __all__ = [
     "batched_search_profile",
     "batched_cf_merge_profile",
     "batched_blocksort_profile",
+    "batched_blocksort_phases",
     "kway_thread_cuts",
     "kway_gather_addresses",
     "batched_kway_merge_profile",
     "fusion_stats",
     "reset_fusion_stats",
+    "note_pipeline_call",
 ]
 
 #: Matches :data:`repro.mergesort.serial_merge.SENTINEL`.
@@ -63,61 +66,76 @@ class _FusionStats:
     Every counter is a pure call count (no wall-clock, no warm-state), so
     deltas are deterministic for a given profile call — the runner's
     engine tiles report them into BASELINE-gated metrics.
+
+    ``pipeline_batched`` / ``pipeline_lockstep`` count
+    :func:`~repro.mergesort.pipeline.gpu_mergesort` calls per path.  The
+    batched driver's own passes run :meth:`muted` (per thread), so the
+    round and ``fused_*`` counters keep describing the engine lane alone.
     """
+
+    _FIELDS = (
+        "round_calls",
+        "round_many_calls",
+        "rounds_folded",
+        "stage_passes",
+        "stage_rounds_folded",
+        "fused_blocksorts",
+        "fused_merges",
+        "fused_searches",
+        "pipeline_batched",
+        "pipeline_lockstep",
+    )
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.round_calls = 0
-        self.round_many_calls = 0
-        self.rounds_folded = 0
-        self.stage_passes = 0
-        self.stage_rounds_folded = 0
-        self.fused_blocksorts = 0
-        self.fused_merges = 0
-        self.fused_searches = 0
+        self._local = threading.local()
+        self.reset()
+
+    def _muted(self) -> bool:
+        return bool(getattr(self._local, "muted", False))
+
+    @contextmanager
+    def muted(self) -> Iterator[None]:
+        """Skip round and profile accounting on this thread for the body."""
+        outer = self._muted()
+        self._local.muted = True
+        try:
+            yield
+        finally:
+            self._local.muted = outer
+
+    def _add(self, **deltas: int) -> None:
+        if self._muted():
+            return
+        with self._lock:
+            for attr, delta in deltas.items():
+                setattr(self, attr, getattr(self, attr) + delta)
 
     def note_round(self) -> None:
-        with self._lock:
-            self.round_calls += 1
+        self._add(round_calls=1)
 
     def note_round_many(self, rounds: int) -> None:
-        with self._lock:
-            self.round_many_calls += 1
-            self.rounds_folded += rounds
+        self._add(round_many_calls=1, rounds_folded=rounds)
 
     def note_stage(self, rounds: int) -> None:
-        with self._lock:
-            self.stage_passes += 1
-            self.stage_rounds_folded += rounds
+        self._add(stage_passes=1, stage_rounds_folded=rounds)
 
     def note_profile(self, name: str) -> None:
-        attr = "fused_" + name
+        self._add(**{"fused_" + name: 1})
+
+    def note_pipeline(self, batched: bool) -> None:
+        attr = "pipeline_batched" if batched else "pipeline_lockstep"
         with self._lock:
             setattr(self, attr, getattr(self, attr) + 1)
 
     def snapshot(self) -> dict[str, float]:
         with self._lock:
-            return {
-                "round_calls": float(self.round_calls),
-                "round_many_calls": float(self.round_many_calls),
-                "rounds_folded": float(self.rounds_folded),
-                "stage_passes": float(self.stage_passes),
-                "stage_rounds_folded": float(self.stage_rounds_folded),
-                "fused_blocksorts": float(self.fused_blocksorts),
-                "fused_merges": float(self.fused_merges),
-                "fused_searches": float(self.fused_searches),
-            }
+            return {name: float(getattr(self, name)) for name in self._FIELDS}
 
     def reset(self) -> None:
         with self._lock:
-            self.round_calls = 0
-            self.round_many_calls = 0
-            self.rounds_folded = 0
-            self.stage_passes = 0
-            self.stage_rounds_folded = 0
-            self.fused_blocksorts = 0
-            self.fused_merges = 0
-            self.fused_searches = 0
+            for name in self._FIELDS:
+                setattr(self, name, 0)
 
 
 _FUSION = _FusionStats()
@@ -131,6 +149,11 @@ def fusion_stats() -> dict[str, float]:
 def reset_fusion_stats() -> None:
     """Reset :func:`fusion_stats` counters (tests and profiling runs)."""
     _FUSION.reset()
+
+
+def note_pipeline_call(batched: bool) -> None:
+    """Count one ``gpu_mergesort`` call on the batched or the lockstep path."""
+    _FUSION.note_pipeline(batched)
 
 
 class BatchCounters:
@@ -471,6 +494,18 @@ class BatchCounters:
         self.shared_cycles += cycles_t
         self.shared_replays += cycles_t - n_warps_t
         self.shared_excess += requests_t - occupied_t
+
+    def total(self) -> Counters:
+        """The counters summed over every tile."""
+        c = Counters()
+        c.shared_read_rounds = int(self.shared_read_rounds.sum())
+        c.shared_write_rounds = int(self.shared_write_rounds.sum())
+        c.shared_cycles = int(self.shared_cycles.sum())
+        c.shared_replays = int(self.shared_replays.sum())
+        c.shared_excess = int(self.shared_excess.sum())
+        c.broadcast_reads = int(self.broadcast_reads.sum())
+        c.shared_requests = int(self.shared_requests.sum())
+        return c
 
     def to_counters(self) -> list[Counters]:
         """Materialize one :class:`Counters` per tile."""
@@ -880,6 +915,28 @@ def _batched_stage_rounds(acc: BatchCounters, u: int, E: int, kind: str) -> None
         acc.round((base + m)[None, :], ones, kind=kind)
 
 
+def _blocksort_input(
+    tiles: npt.ArrayLike, E: int, w: int, variant: str, read_policy: str
+) -> tuple[IntArray, int]:
+    """Validate a blocksort stack; returns it as int64 and the thread count."""
+    stack = np.asarray(tiles, dtype=np.int64)
+    if stack.ndim != 2:
+        raise ParameterError("batched blocksort expects a (tiles, u*E) array")
+    L = stack.shape[1]
+    if L % E:
+        raise ParameterError(f"tile length {L} not a multiple of E={E}")
+    u = L // E
+    if u % w or u & (u - 1):
+        raise ParameterError(f"thread count {u} must be a power-of-two multiple of w")
+    if variant not in ("thrust", "cf"):
+        raise ParameterError(f"unknown variant {variant!r}")
+    if read_policy not in ("bounded", "always"):
+        raise ParameterError(f"unknown read_policy {read_policy!r}")
+    if variant == "cf" and not coprime(w, E):
+        raise ParameterError("fast cf blocksort profile requires coprime w, E")
+    return stack, u
+
+
 def batched_blocksort_profile(
     tiles: IntArray,
     E: int,
@@ -901,31 +958,44 @@ def batched_blocksort_profile(
     pointer-merge rounds — into stacked accounting passes; staging rounds
     fold analytically.  Values too wide for the packed keys are ranked
     first (see :func:`_pack_ready`)."""
-    tiles = np.asarray(tiles, dtype=np.int64)
-    if tiles.ndim != 2:
-        raise ParameterError("batched blocksort expects a (tiles, u*E) array")
-    T, L = tiles.shape
-    if L % E:
-        raise ParameterError(f"tile length {L} not a multiple of E={E}")
-    u = L // E
-    if u % w or u & (u - 1):
-        raise ParameterError(f"thread count {u} must be a power-of-two multiple of w")
-    if variant not in ("thrust", "cf"):
-        raise ParameterError(f"unknown variant {variant!r}")
-    if read_policy not in ("bounded", "always"):
-        raise ParameterError(f"unknown read_policy {read_policy!r}")
-    if variant == "cf" and not coprime(w, E):
-        raise ParameterError("fast cf blocksort profile requires coprime w, E")
-
-    acc = BatchCounters(T, u, w)
-    tiles, pack_dtype = _pack_ready(tiles)
+    stack, u = _blocksort_input(tiles, E, w, variant, read_policy)
+    acc = BatchCounters(stack.shape[0], u, w)
+    stack, pack_dtype = _pack_ready(stack)
     _FUSION.note_profile("blocksorts")
-    _fused_blocksort_rounds(acc, tiles, E, w, u, variant, read_policy, pack_dtype)
+    _fused_blocksort_rounds(acc, acc, acc, stack, E, w, u, variant, read_policy, pack_dtype)
     return acc.to_counters()
 
 
+def batched_blocksort_phases(
+    tiles: IntArray,
+    E: int,
+    w: int,
+    variant: str = "thrust",
+    *,
+    read_policy: str = "bounded",
+) -> tuple[Counters, Counters, Counters]:
+    """:func:`batched_blocksort_profile` split by phase, summed over tiles.
+
+    Returns ``(stage, search, merge)``: the staging loads/writes, the
+    per-pair merge-path searches, and the merges — the shared-memory
+    counters of :class:`~repro.mergesort.blocksort.BlocksortStats`'
+    ``stage``, ``search`` and ``merge`` for the same tiles.  Their sum is
+    the sum of :func:`batched_blocksort_profile`'s per-tile counters."""
+    stack, u = _blocksort_input(tiles, E, w, variant, read_policy)
+    T = stack.shape[0]
+    stage, search, merge = (BatchCounters(T, u, w) for _ in range(3))
+    stack, pack_dtype = _pack_ready(stack)
+    _FUSION.note_profile("blocksorts")
+    _fused_blocksort_rounds(
+        stage, search, merge, stack, E, w, u, variant, read_policy, pack_dtype
+    )
+    return stage.total(), search.total(), merge.total()
+
+
 def _fused_blocksort_rounds(
-    acc: BatchCounters,
+    stage: BatchCounters,
+    search: BatchCounters,
+    merge: BatchCounters,
     tiles: IntArray,
     E: int,
     w: int,
@@ -934,11 +1004,14 @@ def _fused_blocksort_rounds(
     read_policy: str,
     pack_dtype: type,
 ) -> None:
-    """All blocksort rounds via per-level packed sorts + stacked accounting."""
+    """All blocksort rounds via per-level packed sorts + stacked accounting.
+
+    Staging, search and merge rounds land in their own accumulators (one
+    object may serve all three)."""
     T, L = tiles.shape
 
     # Phase 1: load E contiguous words per thread, sort in registers.
-    _batched_stage_rounds(acc, u, E, kind="read")
+    _batched_stage_rounds(stage, u, E, kind="read")
     # The packed keys persist across levels: each level adds its own B
     # tags to the (tag-cleared) keys, sorts pair regions in place, and
     # clears the tag bit again — ``2 * merged`` is exactly the sorted
@@ -961,7 +1034,7 @@ def _fused_blocksort_rounds(
         tag = np.asarray(plan["tag"])
 
         # Staging writes (same residue rounds for both variants).
-        _batched_stage_rounds(acc, u, E, kind="write")
+        _batched_stage_rounds(stage, u, E, kind="write")
 
         # One packed sort per level: merge decisions from the low bit
         # (stable, ties to A), and (via per-thread tag counts) every
@@ -1016,7 +1089,7 @@ def _fused_blocksort_rounds(
                     hi = np.where(live & ~go_right, mid, hi)
                     live = lo < hi
                     it += 1
-                acc.round_many(probes[: 2 * it], probe_live[: 2 * it], kind="read")
+                search.round_many(probes[: 2 * it], probe_live[: 2 * it], kind="read")
 
         # Merges.
         if variant == "thrust":
@@ -1025,7 +1098,7 @@ def _fused_blocksort_rounds(
             a_end[:, -1] = 0
             a_end = np.where(pair_last, half, a_end)
             _fused_pointer_merge_rounds(
-                acc,
+                merge,
                 take_a,
                 pbase + a_off,
                 pbase + a_end,
@@ -1038,16 +1111,16 @@ def _fused_blocksort_rounds(
         else:
             # CF gather: E conflict-free read rounds per warp, per tile.
             n_warps = u // w
-            acc.shared_read_rounds += E * n_warps
-            acc.shared_cycles += E * n_warps
-            acc.shared_requests += E * u
+            merge.shared_read_rounds += E * n_warps
+            merge.shared_cycles += E * n_warps
+            merge.shared_requests += E * u
 
         np.bitwise_and(packed, -2, out=packed)
         g *= 2
         level += 1
 
     # Final staging pass.
-    _batched_stage_rounds(acc, u, E, kind="write")
+    _batched_stage_rounds(stage, u, E, kind="write")
 
 
 # --------------------------------------------------------------- k-way merge

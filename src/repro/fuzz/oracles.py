@@ -13,6 +13,9 @@ Families
 ``differential``
     CF-Merge and the Thrust-style baseline vs ``numpy.sort``; the fast
     vectorized conflict profile vs the lockstep simulator's counters;
+    ``gpu_mergesort`` vs ``lockstep_mergesort`` field by field for both
+    variants (the batched multi-level driver against its oracle; at
+    geometries it does not accept, the fallback against itself);
     ``sort_by_key`` stability against ``numpy.argsort(kind="stable")``;
     every registered service backend on a segmented payload; the
     cluster-sharded engine lane byte-identical (values, counters,
@@ -54,7 +57,7 @@ from repro.fuzz.corpus import Geometry
 from repro.mergesort.by_key import sort_by_key
 from repro.mergesort.fast import serial_merge_profile
 from repro.mergesort.merge_path import block_split_from_merge_path
-from repro.mergesort.pipeline import gpu_mergesort
+from repro.mergesort.pipeline import MergesortResult, gpu_mergesort, lockstep_mergesort
 from repro.mergesort.serial_merge import serial_merge_block
 from repro.service.backends import available_backends, get_backend
 
@@ -273,6 +276,28 @@ def _columns_check(data: Array, geometry: Geometry) -> dict[str, Any]:
     )
 
 
+def _pipeline_check(
+    data: Array, geometry: Geometry, results: dict[str, MergesortResult]
+) -> dict[str, Any]:
+    """``gpu_mergesort`` equals ``lockstep_mergesort`` field by field.
+
+    ``results`` holds this case's ``gpu_mergesort`` result per variant;
+    every :class:`~repro.mergesort.pipeline.MergesortResult` field that
+    differs from the lockstep oracle is named in the detail.
+    """
+    w, E, u = geometry.w, geometry.E, geometry.u
+    diverged: list[str] = []
+    for variant, result in results.items():
+        fields = result.differences(lockstep_mergesort(data, E, u, w, variant))
+        if fields:
+            diverged.append(f"{variant}: {', '.join(fields)}")
+    return _check(
+        not diverged,
+        f"gpu_mergesort vs lockstep_mergesort ({', '.join(results)}) over n={len(data)}"
+        + (f"; diverged: {'; '.join(diverged)}" if diverged else ""),
+    )
+
+
 def _stability_check(data: Array, geometry: Geometry) -> dict[str, Any]:
     """``sort_by_key`` keeps equal keys in input order (stability)."""
     keys = data % KEY_MODULUS
@@ -358,6 +383,9 @@ def evaluate_case(
             checks["differential/fast_profile_matches_sim"] = _skip(
                 f"n={n} does not form whole warps of E-element threads"
             )
+        checks["differential/pipeline_matches_lockstep"] = _pipeline_check(
+            data, geometry, {"cf": res_cf, "thrust": res_thrust}
+        )
         checks["differential/by_key_stable"] = _stability_check(data, geometry)
         checks["differential/backends_agree"] = _backends_check(data, geometry)
         checks["differential/cluster_matches_batched"] = _cluster_check(data, geometry)

@@ -26,7 +26,10 @@ Step (d) is where the two variants differ:
 :mod:`repro.mergesort.fast` re-implements the conflict *counting* (not the
 execution) of both merge phases as vectorized NumPy, cross-validated
 against the lockstep simulation, so the throughput experiments can sweep
-to the paper's ``n = 2^26 * E`` scales.
+to the paper's ``n = 2^26 * E`` scales.  :func:`gpu_mergesort` runs the
+whole pipeline on the batched engine passes built from it
+(:mod:`repro.engine.pipeline`) wherever the geometry allows, and on the
+lockstep simulator (:func:`lockstep_mergesort`) everywhere else.
 """
 
 from repro.mergesort.merge_path import (
@@ -42,7 +45,7 @@ from repro.mergesort.register_merge import (
 from repro.mergesort.serial_merge import serial_merge_block
 from repro.mergesort.cf import cf_merge_block
 from repro.mergesort.blocksort import blocksort_tile
-from repro.mergesort.pipeline import MergesortResult, gpu_mergesort
+from repro.mergesort.pipeline import MergesortResult, gpu_mergesort, lockstep_mergesort
 from repro.mergesort.kway import (
     KwaySortResult,
     kway_level_count,
@@ -65,6 +68,7 @@ __all__ = [
     "cf_merge_block",
     "blocksort_tile",
     "gpu_mergesort",
+    "lockstep_mergesort",
     "MergesortResult",
     "kway_merge_path_search",
     "kway_merge_block",

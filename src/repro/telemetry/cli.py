@@ -72,8 +72,10 @@ def _profile_engine(args: argparse.Namespace) -> str:
     Runs the same deterministic blocksort sweep twice through the batched
     lane — the first (cold) pass pays the plan builds and arena
     allocations, the second (warm) pass shows the reuse — and reports the
-    fused-pass counters and arena reuse rate.  Everything printed is a
-    call count or byte total (no wall clock), so the artifact is
+    fused-pass counters and arena reuse rate.  Then it sorts the sweep's
+    keys once with ``gpu_mergesort`` and reports which driver path ran
+    (``pipeline_batched`` / ``pipeline_lockstep``).  Everything printed is
+    a call count or byte total (no wall clock), so the artifact is
     byte-stable across runs.
     """
     import numpy as np
@@ -81,6 +83,7 @@ def _profile_engine(args: argparse.Namespace) -> str:
     from repro.engine.arena import ENGINE_ARENA, arena_stats
     from repro.engine.batch import fusion_stats, reset_fusion_stats
     from repro.engine.lane import EngineStats, profile_blocksorts
+    from repro.mergesort.pipeline import gpu_mergesort
 
     w = args.w if args.w else PROFILE_DEFAULT_W
     E = args.E if args.E else PROFILE_DEFAULT_E
@@ -93,9 +96,10 @@ def _profile_engine(args: argparse.Namespace) -> str:
     cold, warm = EngineStats(), EngineStats()
     profile_blocksorts(tiles, E, w, "thrust", stats=cold)
     profile_blocksorts(tiles, E, w, "thrust", stats=warm)
-    fusion = fusion_stats()
     arena = arena_stats()
     cache = plan_cache_stats()
+    gpu_mergesort(np.concatenate(tiles), E, u, w, "thrust")
+    fusion = fusion_stats()
 
     payload: dict[str, Any] = {
         "target": "engine",
@@ -125,6 +129,9 @@ def _profile_engine(args: argparse.Namespace) -> str:
         f"passes fused: {int(fusion['fused_blocksorts'])} fused blocksort "
         f"passes; {int(fusion['round_many_calls'])} round_many calls folded "
         f"{folded} rounds ({int(fusion['round_calls'])} single rounds left)",
+        f"mergesort driver: {int(fusion['pipeline_batched'])} gpu_mergesort "
+        f"calls on the batched path, {int(fusion['pipeline_lockstep'])} on "
+        f"the lockstep simulator",
         f"arena reuse: {int(arena['reuse_hits'])}/{int(arena['checkouts'])} "
         f"checkouts served from the pool "
         f"(reuse rate {arena['reuse_rate']:.1%}; "

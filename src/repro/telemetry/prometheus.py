@@ -54,6 +54,8 @@ COUNTER_PREFIXES = (
     "engine.fusion.fused_blocksorts",
     "engine.fusion.fused_merges",
     "engine.fusion.fused_searches",
+    "engine.fusion.pipeline_batched",
+    "engine.fusion.pipeline_lockstep",
     "cluster.tasks_executed",
     "cluster.tasks_inline",
     "cluster.tasks_process",

@@ -109,6 +109,7 @@ def test_lint_job_gates_ruff_and_strict_mypy(workflow):
     assert "src/repro/mergesort/kway.py" in steps
     assert "src/repro/mergesort/samplesort.py" in steps
     assert "src/repro/mergesort/segmented.py" in steps
+    assert "src/repro/mergesort/pipeline.py" in steps
 
 
 def test_smoke_job_runs_quick_suite_and_perf_gate(workflow):
@@ -203,6 +204,21 @@ def test_engine_job_uploads_its_reports(workflow):
     assert upload["with"]["name"] == "engine"
     assert upload["with"]["if-no-files-found"] == "error"
     assert "engine-report.json" in upload["with"]["path"]
+
+
+def test_engine_job_runs_the_pipeline_benchmark_twice_and_diffs_reports(workflow):
+    # The multi-level driver: its speedup floor over the lockstep loop,
+    # MergesortResult identity, and a byte-identical report on a rerun.
+    job = workflow["jobs"]["engine"]
+    steps = _steps_text(job)
+    assert "pytest benchmarks/bench_pipeline.py" in steps
+    assert "PIPELINE_REPORT=pipeline-report.json" in steps
+    assert "PIPELINE_REPORT=pipeline-report-again.json" in steps
+    assert "cmp pipeline-report.json pipeline-report-again.json" in steps
+    step = next(s for s in job["steps"] if "bench_pipeline" in str(s.get("run", "")))
+    assert step["env"]["PIPELINE_MIN_SPEEDUP"] == "10"
+    upload = next(s for s in job["steps"] if "upload-artifact" in str(s.get("uses", "")))
+    assert "pipeline-report.json" in upload["with"]["path"]
 
 
 def test_kway_job_runs_the_benchmark_twice_and_diffs_reports(workflow):

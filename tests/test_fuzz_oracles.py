@@ -130,6 +130,7 @@ class TestOracles:
             assert result["cf_merge_replays"] == 0, entry.origin
             assert set(result["checks"]) >= {
                 "differential/cf_matches_numpy",
+                "differential/pipeline_matches_lockstep",
                 "invariant/cf_zero_merge_replays",
                 "bound/baseline_excess_bounded",
             }
@@ -150,6 +151,26 @@ class TestOracles:
         assert result["checks"]["invariant/cf_gather_schedule_crs"]["skipped"]
         # Differential checks still ran for real.
         assert not result["checks"]["differential/cf_matches_numpy"]["skipped"]
+        assert not result["checks"]["differential/pipeline_matches_lockstep"]["skipped"]
+
+    def test_pipeline_oracle_catches_a_diverging_driver(self, monkeypatch):
+        import repro.engine.pipeline as driver
+
+        real = driver.batched_mergesort
+
+        def skewed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.blocksort_stats.search.compute_ops += 1
+            return result
+
+        monkeypatch.setattr(driver, "batched_mergesort", skewed)
+        result = evaluate_case(
+            uniform_random(G.n, seed=1), G, oracles=("differential",)
+        )
+        assert "differential/pipeline_matches_lockstep" in result["failures"]
+        detail = result["checks"]["differential/pipeline_matches_lockstep"]["detail"]
+        assert "cf: blocksort_stats.search;" in detail
+        assert detail.endswith("thrust: blocksort_stats.search")
 
     def test_short_input_skips_block_level_checks(self):
         result = evaluate_case(np.array([3, 1, 2], dtype=np.int64), G)
