@@ -127,6 +127,55 @@ def test_engine_batched_speedup(benchmark):
     benchmark.pedantic(run_batched, rounds=1, iterations=1)
 
 
+#: The service's batch shape: ``max_batch_tiles`` cf tiles at the
+#: default geometry (E=5, u=32, w=8).
+SMALL_E, SMALL_U, SMALL_W, SMALL_TILES = 5, 32, 8, 4
+#: Floor for the small-stack ratio (level-stacked lane ~19x, one pass
+#: per merge level ~7x).
+SMALL_STACK_MIN_SPEEDUP = 10.0
+
+
+def test_engine_small_stack_speedup(benchmark):
+    """A 4-tile cf stack: per-call overhead, not tile work, decides here."""
+    rng = np.random.default_rng(1)
+    rows = rng.integers(0, SMALL_TILES * SMALL_U * SMALL_E, (SMALL_TILES, SMALL_U * SMALL_E))
+
+    def run_batched():
+        return batched_blocksort_profile(rows, SMALL_E, SMALL_W, "cf")
+
+    def run_loop():
+        return [blocksort_profile(r.copy(), SMALL_E, SMALL_W, "cf") for r in rows]
+
+    batched = run_batched()  # warm the plan cache and the arena
+    singles = run_loop()
+    assert [c.as_dict() for c in batched] == [c.as_dict() for c in singles]
+
+    def best_of(fn, calls: int) -> float:
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            best = min(best, (time.perf_counter() - t0) / calls)
+        return best
+
+    t_batched = best_of(run_batched, 50)
+    t_loop = best_of(run_loop, 5)
+    speedup = t_loop / t_batched
+    attach(
+        benchmark,
+        speedup=round(speedup, 2),
+        loop_ms=round(t_loop * 1e3, 3),
+        batched_ms=round(t_batched * 1e3, 3),
+    )
+    assert speedup >= SMALL_STACK_MIN_SPEEDUP, (
+        f"4-tile stack only {speedup:.2f}x faster than the per-tile loop "
+        f"(floor {SMALL_STACK_MIN_SPEEDUP}x): loop {t_loop * 1e3:.3f} ms vs "
+        f"batched {t_batched * 1e3:.3f} ms"
+    )
+    benchmark.pedantic(run_batched, rounds=1, iterations=1)
+
+
 def test_engine_plan_cache_reuse(benchmark):
     """Repeat sweeps hit the plan cache instead of rebuilding schedules."""
     rows = _sweep_rows()[:8]

@@ -28,7 +28,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.engine.arena import ENGINE_ARENA
-from repro.engine.plans import get_plan
+from repro.engine.plans import Plan, get_plan
 from repro.errors import ParameterError
 from repro.numtheory import coprime
 from repro.sim.counters import Counters
@@ -117,8 +117,8 @@ class _FusionStats:
     def note_round_many(self, rounds: int) -> None:
         self._add(round_many_calls=1, rounds_folded=rounds)
 
-    def note_stage(self, rounds: int) -> None:
-        self._add(stage_passes=1, stage_rounds_folded=rounds)
+    def note_stage(self, rounds: int, passes: int = 1) -> None:
+        self._add(stage_passes=passes, stage_rounds_folded=passes * rounds)
 
     def note_profile(self, name: str) -> None:
         self._add(**{"fused_" + name: 1})
@@ -673,15 +673,17 @@ def _fused_pointer_merge_rounds(
 ) -> None:
     """Replay the sequential pointer merge's rounds in closed form.
 
-    ``take_a`` is ``(tiles, u, E)``: the merge decision each thread makes
-    at each of its ``E`` steps (known up front from the packed-sort
-    tags).  Pointer trajectories then collapse to cumulative sums —
-    after step ``j`` a thread has consumed ``csum[j]`` A elements and
-    ``j + 1 - csum[j]`` B elements — so every round's addresses and
-    active masks are closed-form and the whole merge (initial key loads
-    plus ``E`` advance rounds) folds into one :meth:`BatchCounters
-    .round_many` call, bit-identical to the sequential loop of
-    :func:`repro.mergesort.fast.pointer_merge_profile`.  Every
+    ``take_a`` is ``(levels, tiles, u, E)``: the merge decision each
+    thread makes at each of its ``E`` steps (known up front from the
+    packed-sort tags), for one or more independent merges stacked on the
+    leading axis; the pointers are ``(levels, tiles, u)``.  Pointer
+    trajectories then collapse to cumulative sums — after step ``j`` a
+    thread has consumed ``csum[j]`` A elements and ``j + 1 - csum[j]`` B
+    elements — so every round's addresses and active masks are
+    closed-form and every stacked merge (initial key loads plus ``E``
+    advance rounds each) folds into one :meth:`BatchCounters.round_many`
+    call, bit-identical to the sequential loop of
+    :func:`repro.mergesort.fast.pointer_merge_profile` per merge.  Every
     address stays below ``length``, so the sequential loop's safety
     clamp is a no-op here and is skipped.
 
@@ -690,63 +692,70 @@ def _fused_pointer_merge_rounds(
     warp (merge-path cuts are nondecreasing, pair regions disjoint), so
     the accounting runs with ``assume_distinct=True``.
     """
-    T, u = a_ptr.shape
+    n, T, u = a_ptr.shape
     dt: type = np.int32 if length < (1 << 31) else np.int64
     a_ptr_n = a_ptr.astype(dt)
     b_ptr_n = b_ptr.astype(dt)
     a_end_n = a_end.astype(dt)
     b_end_n = b_end.astype(dt)
     # Round-major layout keeps every pass below contiguous: step j of
-    # all lanes lives in one (T, u) slab.
-    take_aE = np.ascontiguousarray(take_a.transpose(2, 0, 1))
-    # Slab-wise running sum: ~13x faster than np.cumsum(axis=0) with its
+    # all lanes of one merge lives in one (T, u) slab.
+    take_aE = np.ascontiguousarray(take_a.transpose(0, 3, 1, 2))
+    # Slab-wise running sum: ~13x faster than np.cumsum(axis=1) with its
     # per-element bool->int cast.
-    csum = np.empty((E, T, u), dtype=dt)
-    np.copyto(csum[0], take_aE[0])
+    csum = np.empty((n, E, T, u), dtype=dt)
+    np.copyto(csum[:, 0], take_aE[:, 0])
     for j in range(1, E):
-        np.add(csum[j - 1], take_aE[j], out=csum[j])
-    pa = a_ptr_n[None] + csum
+        np.add(csum[:, j - 1], take_aE[:, j], out=csum[:, j])
+    pa = a_ptr_n[:, None] + csum
     # Reuse csum's buffer for pb = b_ptr + (step - csum).
-    np.subtract(np.arange(1, E + 1, dtype=dt)[:, None, None], csum, out=csum)
+    np.subtract(np.arange(1, E + 1, dtype=dt)[None, :, None, None], csum, out=csum)
     pb = csum
-    pb += b_ptr_n[None]
-    with ENGINE_ARENA.lease((E + 2, T, u), dt) as rounds, ENGINE_ARENA.lease(
-        (E + 2, T, u), np.bool_
+    pb += b_ptr_n[:, None]
+    with ENGINE_ARENA.lease((n, E + 2, T, u), dt) as rounds, ENGINE_ARENA.lease(
+        (n, E + 2, T, u), np.bool_
     ) as lives:
-        rounds[0] = a_ptr_n
-        rounds[1] = b_ptr_n
-        np.copyto(lives[0], a_ptr_n < a_end_n)
-        np.copyto(lives[1], b_ptr_n < b_end_n)
+        rounds[:, 0] = a_ptr_n
+        rounds[:, 1] = b_ptr_n
+        np.less(a_ptr_n, a_end_n, out=lives[:, 0])
+        np.less(b_ptr_n, b_end_n, out=lives[:, 1])
+        step_addr, step_live = rounds[:, 2:], lives[:, 2:]
+        stacked = (n * (E + 2), T, u)
         if read_policy == "always":
-            np.copyto(rounds[2:], pb)
-            np.copyto(rounds[2:], pa, where=take_aE)
-            np.less(pb, b_end_n[None], out=lives[2:])
-            in_a_range = pa < a_end_n[None]
-            np.copyto(lives[2:], in_a_range, where=take_aE)
+            np.copyto(step_addr, pb)
+            np.copyto(step_addr, pa, where=take_aE)
+            np.less(pb, b_end_n[:, None], out=step_live)
+            in_a_range = pa < a_end_n[:, None]
+            np.copyto(step_live, in_a_range, where=take_aE)
             np.copyto(
-                rounds[2:],
-                np.maximum(b_end_n - 1, 0)[None],
-                where=~(lives[2:] | take_aE),
+                step_addr,
+                np.maximum(b_end_n - 1, 0)[:, None],
+                where=~(step_live | take_aE),
             )
             np.copyto(
-                rounds[2:],
-                np.maximum(a_end_n - 1, 0)[None],
+                step_addr,
+                np.maximum(a_end_n - 1, 0)[:, None],
                 where=take_aE & ~in_a_range,
             )
-            lives[2:] = True
-            acc.round_many(rounds, lives, kind="read")
+            step_live[...] = True
+            acc.round_many(rounds.reshape(stacked), lives.reshape(stacked), kind="read")
         else:
             # Select per-lane pointer and liveness with arithmetic
             # blends (masked copyto is far slower than full passes).
-            in_a = pa < a_end_n[None]
-            in_b = pb < b_end_n[None]
+            in_a = pa < a_end_n[:, None]
+            in_b = pb < b_end_n[:, None]
             np.logical_xor(in_a, in_b, out=in_a)
             np.logical_and(in_a, take_aE, out=in_a)
-            np.logical_xor(in_b, in_a, out=lives[2:])
+            np.logical_xor(in_b, in_a, out=step_live)
             np.subtract(pa, pb, out=pa)
             np.multiply(pa, take_aE, out=pa)
-            np.add(pb, pa, out=rounds[2:])
-            acc.round_many(rounds, lives, kind="read", assume_distinct=True)
+            np.add(pb, pa, out=step_addr)
+            acc.round_many(
+                rounds.reshape(stacked),
+                lives.reshape(stacked),
+                kind="read",
+                assume_distinct=True,
+            )
 
 
 def batched_serial_merge_profile(
@@ -786,7 +795,8 @@ def batched_serial_merge_profile(
     b_end = n_a[:, None] + (diag + E) - a_end
     acc = BatchCounters(T, u, w)
     _fused_pointer_merge_rounds(
-        acc, take_a, a_off, a_end, b_ptr, b_end, E, total, read_policy
+        acc, take_a[None], a_off[None], a_end[None], b_ptr[None], b_end[None],
+        E, total, read_policy,
     )
     return acc.to_counters()
 
@@ -883,36 +893,33 @@ def batched_cf_merge_profile(tiles: int, total: int, E: int, w: int) -> list[Cou
     return out
 
 
-def _batched_stage_rounds(acc: BatchCounters, u: int, E: int, kind: str) -> None:
-    """Batched :func:`repro.mergesort.fast._strided_stage_rounds`.
+def _batched_stage_rounds(
+    acc: BatchCounters, u: int, E: int, kind: str, passes: int = 1
+) -> None:
+    """Batched :func:`repro.mergesort.fast._strided_stage_rounds`, ``passes`` times.
 
-    With full warps the whole pass folds to one closed-form update from
-    the ``fused_stage`` plan: staging round ``m`` reads ``i*E + m``, a
-    cyclic bank rotation of round 0, so all ``E`` rounds share round 0's
-    cycle/excess profile, every address is distinct (zero broadcasts),
-    and the fold is exact — bit-identical to ``E`` :meth:`~BatchCounters
-    .round` calls (asserted in ``tests/test_engine_batch.py``).
+    With full warps (every blocksort stack) each pass folds to one
+    closed-form update from the ``fused_stage`` plan: staging round
+    ``m`` reads ``i*E + m``, a cyclic bank rotation of round 0, so all
+    ``E`` rounds share round 0's cycle/excess profile, every address is
+    distinct (zero broadcasts), and the fold is exact — bit-identical to
+    ``E`` :meth:`~BatchCounters.round` calls per pass (asserted in
+    ``tests/test_engine_batch.py``).
     """
-    if u % acc.w == 0:
-        plan = get_plan("fused_stage", u, E, acc.w)
-        n_warps = int(np.asarray(plan["n_warps"])[0])
-        cycles = int(np.asarray(plan["cycles"])[0])
-        excess = int(np.asarray(plan["excess"])[0])
-        if kind == "read":
-            acc.shared_read_rounds += E * n_warps
-            # Every staged address is distinct: no broadcast reads.
-        else:
-            acc.shared_write_rounds += E * n_warps
-        acc.shared_requests += E * u
-        acc.shared_cycles += E * cycles
-        acc.shared_replays += E * (cycles - n_warps)
-        acc.shared_excess += E * excess
-        _FUSION.note_stage(E)
-        return
-    base = np.asarray(get_plan("stage", u, E, acc.w)["base"])
-    ones = np.ones((1, u), dtype=bool)
-    for m in range(E):
-        acc.round((base + m)[None, :], ones, kind=kind)
+    plan = get_plan("fused_stage", u, E, acc.w)
+    n_warps = passes * int(np.asarray(plan["n_warps"])[0])
+    cycles = passes * int(np.asarray(plan["cycles"])[0])
+    excess = passes * int(np.asarray(plan["excess"])[0])
+    if kind == "read":
+        acc.shared_read_rounds += E * n_warps
+        # Every staged address is distinct: no broadcast reads.
+    else:
+        acc.shared_write_rounds += E * n_warps
+    acc.shared_requests += passes * E * u
+    acc.shared_cycles += E * cycles
+    acc.shared_replays += E * (cycles - n_warps)
+    acc.shared_excess += E * excess
+    _FUSION.note_stage(E, passes)
 
 
 def _blocksort_input(
@@ -950,19 +957,18 @@ def batched_blocksort_profile(
     ``tiles`` is ``(n_tiles, u*E)``; each tile's counters equal the
     scalar profile on its row.
 
-    Each merge level runs *fused*: one packed-key sort per level advances
-    the data **and** yields every thread's merge-path cut (a prefix sum
-    over source tags) and merge decisions.  The per-pair bisections are
-    then replayed without data reads (branch outcome ``== cut > mid``
-    along the real probe path) and folded — with the closed-form
-    pointer-merge rounds — into stacked accounting passes; staging rounds
-    fold analytically.  Values too wide for the packed keys are ranked
-    first (see :func:`_pack_ready`)."""
+    The merge levels run *stacked* (see :func:`_fused_blocksort_rounds`):
+    one packed-key sort yields every level's merge decisions and
+    merge-path cuts, one replay loop reproduces every level's per-pair
+    bisections without data reads (branch outcome ``== cut > mid`` along
+    the real probe path), and the probe and pointer-merge rounds each
+    fold into one stacked accounting pass; staging rounds fold
+    analytically.  Values too wide for the packed keys are ranked first
+    (a profile depends only on comparison outcomes)."""
     stack, u = _blocksort_input(tiles, E, w, variant, read_policy)
     acc = BatchCounters(stack.shape[0], u, w)
-    stack, pack_dtype = _pack_ready(stack)
     _FUSION.note_profile("blocksorts")
-    _fused_blocksort_rounds(acc, acc, acc, stack, E, w, u, variant, read_policy, pack_dtype)
+    _fused_blocksort_rounds(acc, acc, acc, stack, E, w, u, variant, read_policy)
     return acc.to_counters()
 
 
@@ -984,12 +990,43 @@ def batched_blocksort_phases(
     stack, u = _blocksort_input(tiles, E, w, variant, read_policy)
     T = stack.shape[0]
     stage, search, merge = (BatchCounters(T, u, w) for _ in range(3))
-    stack, pack_dtype = _pack_ready(stack)
     _FUSION.note_profile("blocksorts")
-    _fused_blocksort_rounds(
-        stage, search, merge, stack, E, w, u, variant, read_policy, pack_dtype
-    )
+    _fused_blocksort_rounds(stage, search, merge, stack, E, w, u, variant, read_policy)
     return stage.total(), search.total(), merge.total()
+
+
+#: Most key words one stacked blocksort pass holds.  A pass stacks as
+#: many merge levels as fit, so small stacks run every level in one
+#: pass and large ones one level per pass (their single-level working
+#: set already exceeds the cache; stacking it only adds misses).
+_STACK_WORDS = 1 << 17
+
+
+def _level_passes(levels: int, words_per_level: int) -> list[tuple[int, int]]:
+    """Split ``range(levels)`` into contiguous passes within :data:`_STACK_WORDS`."""
+    per = max(1, _STACK_WORDS // words_per_level)
+    return [(l0, min(l0 + per, levels)) for l0 in range(0, levels, per)]
+
+
+def _doubled_values(tiles: IntArray, rid_bits: int) -> tuple[IntArray, int]:
+    """``2 * (v - min)`` for the stack, and the key shift for its region ids.
+
+    A level key is ``(region << shift) + 2*v + tag``; it must fit int64
+    with ``rid_bits`` of region id, else the stack is swapped for its
+    dense, tie-preserving ranks — a profile depends only on comparison
+    outcomes, so every counter is unchanged.  The keys (and these
+    values) are int32 whenever the widest key allows.
+    """
+    lo, hi = int(tiles.min()), int(tiles.max())
+    shift = (hi - lo).bit_length() + 1
+    if shift + rid_bits > 63:
+        _, ranks = np.unique(tiles, return_inverse=True)
+        tiles = ranks.reshape(tiles.shape).astype(np.int64)
+        lo, shift = 0, int(tiles.max()).bit_length() + 1
+    dtype: type = np.int32 if shift + rid_bits <= 31 else np.int64
+    doubled = np.subtract(tiles, lo).astype(dtype)
+    doubled <<= 1
+    return doubled, shift
 
 
 def _fused_blocksort_rounds(
@@ -1002,125 +1039,162 @@ def _fused_blocksort_rounds(
     u: int,
     variant: str,
     read_policy: str,
-    pack_dtype: type,
 ) -> None:
-    """All blocksort rounds via per-level packed sorts + stacked accounting.
+    """All blocksort rounds, with the merge levels stacked per pass.
+
+    After level ``l - 1`` every aligned ``2^l * E``-word region holds the
+    sorted multiset of the *original* words there, so level ``l``'s
+    packed keys (``2*v + tag``, tag 1 on B-half words) sorted per pair
+    region equal the original tile's keys sorted the same way.  Every
+    level is therefore computable from the tile up front: a pass stacks
+    its levels on a leading axis, keys each word as ``(region << shift)
+    + 2*v + tag`` (region ids local to the pass's widest region, so one
+    sort of those chunks sorts every level's pair regions), and one sort
+    yields every level's merge decisions (the low bit) and — via
+    per-thread tag counts and one prefix sum — every merge-path cut.  The
+    pass's widest level, whose region ids are all zero, leaves its
+    regions sorted; the next pass keys from that data (same multisets).
 
     Staging, search and merge rounds land in their own accumulators (one
-    object may serve all three)."""
+    object may serve all three).  Staging and the CF gather fold in
+    closed form; probe rounds and thrust's pointer-merge rounds each take
+    one :meth:`BatchCounters.round_many` call per pass.
+    """
     T, L = tiles.shape
+    plan = get_plan("fused_levels", u, E, w)
+    levels = int(np.asarray(plan["half"]).shape[0])
+    passes = _level_passes(levels, T * L)
+    rid_bits = max(l1 - 1 - l0 for l0, l1 in passes)
+    doubled, shift = _doubled_values(tiles, rid_bits)
+    dtype = doubled.dtype.type
+    word = np.arange(L, dtype=np.int64)
+    half_all = np.asarray(plan["half"])
+    tag_all = np.asarray(plan["tag"])
 
-    # Phase 1: load E contiguous words per thread, sort in registers.
+    # Loads, then one staging write pass per level plus the final one.
     _batched_stage_rounds(stage, u, E, kind="read")
-    # The packed keys persist across levels: each level adds its own B
-    # tags to the (tag-cleared) keys, sorts pair regions in place, and
-    # clears the tag bit again — ``2 * merged`` is exactly the sorted
-    # keys with the low bit dropped, so no unpack/repack pass is needed.
-    # ``pack_dtype`` narrows to int32 whenever the value range allows,
-    # roughly tripling sort throughput.
-    packed = np.sort(
-        tiles.astype(pack_dtype, copy=False).reshape(T, u, E), axis=2
-    ).reshape(T, L)
-    packed *= 2
+    _batched_stage_rounds(stage, u, E, kind="write", passes=levels + 1)
 
-    g, level = 1, 0
-    while g < u:
-        region = 2 * g * E
-        half = g * E
-        plan = get_plan("fused_level", u, E, w, level=level)
-        pbase = np.asarray(plan["pbase"])
-        diag = np.asarray(plan["diag"])
-        pair_last = np.asarray(plan["pair_last"])
-        tag = np.asarray(plan["tag"])
+    for l0, l1 in passes:
+        lv = slice(l0, l1)
+        n = l1 - l0
+        chunk = 2 * int(half_all[l1 - 1])  # the widest level's region
+        region = 2 * half_all[lv][:, None]
+        base = ((word % chunk) // region) << shift
+        base += tag_all[lv]
+        with ENGINE_ARENA.lease((n, T, L), dtype) as keys:
+            np.add(base.astype(dtype)[:, None, :], doubled[None], out=keys)
+            keys.reshape(n, T, L // chunk, chunk).sort(axis=-1)
+            if l1 < levels:
+                # The widest level's keys are 2*v + tag: its sorted data
+                # feeds the next pass.
+                np.bitwise_and(keys[-1], -2, out=doubled)
+            np.bitwise_and(keys, 1, out=keys)
+            take_a = keys.reshape(n, T, u, E) == 0
+        # The cut of a thread is the count of A-half outputs between its
+        # pair's base and its diagonal: per-thread counts + one prefix.
+        cnt = take_a.sum(axis=-1, dtype=np.int64)
+        excl = np.cumsum(cnt, axis=-1) - cnt
+        first = np.asarray(plan["first"])[lv][:, None, :]
+        a_off = excl - np.take_along_axis(excl, first, axis=-1)
 
-        # Staging writes (same residue rounds for both variants).
-        _batched_stage_rounds(stage, u, E, kind="write")
+        _replay_searches(search, plan, lv, a_off, variant, T, u)
 
-        # One packed sort per level: merge decisions from the low bit
-        # (stable, ties to A), and (via per-thread tag counts) every
-        # thread's merge-path cut.
-        n_pairs = L // region
-        packed += tag.astype(pack_dtype)[None, :]
-        packed.reshape(T, n_pairs, region).sort(axis=2)
-        take_a = (packed.reshape(T, u, E) & 1) == 0
-        # pbase + diag == tid*E, and the cut is the count of A-half
-        # outputs between the pair's base and the thread's diagonal;
-        # per-thread counts + a (T, u) prefix replace a (T, L) one.
-        cnt = take_a.sum(axis=2, dtype=np.int64)
-        excl = np.cumsum(cnt, axis=1) - cnt
-        a_off = excl - excl[:, pbase // E]
-
-        # Replay the per-pair bisections: along the real probe path the
-        # branch taken at ``mid`` is exactly ``cut > mid``, so the probe
-        # addresses and live masks reproduce with no data reads.  The
-        # whole replay runs in int32 (addresses < L < 2^31 by packing),
-        # writing straight into leased round buffers sized by the worst
-        # bisection depth.
-        pbase32 = pbase.astype(np.int32)
-        diag32 = diag.astype(np.int32)
-        cut32 = a_off.astype(np.int32)
-        lo = np.broadcast_to(np.asarray(plan["lo"]), (T, u)).astype(np.int32)
-        hi = np.broadcast_to(np.asarray(plan["hi"]), (T, u)).astype(np.int32)
-        max_rounds = 2 * int(np.max(np.asarray(plan["hi"]) - np.asarray(plan["lo"]))).bit_length()
-        live = lo < hi
-        if max_rounds and live.any():
-            if variant == "cf":
-                b_base = pbase32 + np.int32(region - 1)
-            else:
-                b_base = pbase32 + np.int32(half)
-            with ENGINE_ARENA.lease(
-                (max_rounds, T, u), np.int32
-            ) as probes, ENGINE_ARENA.lease(
-                (max_rounds, T, u), np.bool_
-            ) as probe_live:
-                it = 0
-                while live.any():
-                    mid = (lo + hi) // 2
-                    b_idx = np.clip(diag32 - 1 - mid, 0, half - 1)
-                    np.add(pbase32, mid, out=probes[2 * it])
-                    if variant == "cf":
-                        np.subtract(b_base, b_idx, out=probes[2 * it + 1])
-                    else:
-                        np.add(b_base, b_idx, out=probes[2 * it + 1])
-                    probe_live[2 * it] = live
-                    probe_live[2 * it + 1] = live
-                    go_right = cut32 > mid
-                    lo = np.where(live & go_right, mid + 1, lo)
-                    hi = np.where(live & ~go_right, mid, hi)
-                    live = lo < hi
-                    it += 1
-                search.round_many(probes[: 2 * it], probe_live[: 2 * it], kind="read")
-
-        # Merges.
         if variant == "thrust":
+            pbase = np.asarray(plan["pbase"])[lv][:, None, :]
+            diag = np.asarray(plan["diag"])[lv][:, None, :]
+            half = half_all[lv][:, None, None]
             a_end = np.empty_like(a_off)
-            a_end[:, :-1] = a_off[:, 1:]
-            a_end[:, -1] = 0
-            a_end = np.where(pair_last, half, a_end)
+            a_end[..., :-1] = a_off[..., 1:]
+            a_end[..., -1] = 0
+            a_end = np.where(np.asarray(plan["pair_last"])[lv][:, None, :], half, a_end)
+            b_ptr = pbase + half + (diag - a_off)
             _fused_pointer_merge_rounds(
                 merge,
                 take_a,
                 pbase + a_off,
                 pbase + a_end,
-                pbase + half + (diag - a_off),
-                pbase + half + (diag - a_off) + (E - (a_end - a_off)),
+                b_ptr,
+                b_ptr + (E - (a_end - a_off)),
                 E,
                 L,
                 read_policy,
             )
         else:
-            # CF gather: E conflict-free read rounds per warp, per tile.
+            # CF gather: E conflict-free read rounds per warp, per tile
+            # and level.
             n_warps = u // w
-            merge.shared_read_rounds += E * n_warps
-            merge.shared_cycles += E * n_warps
-            merge.shared_requests += E * u
+            merge.shared_read_rounds += n * E * n_warps
+            merge.shared_cycles += n * E * n_warps
+            merge.shared_requests += n * E * u
 
-        np.bitwise_and(packed, -2, out=packed)
-        g *= 2
-        level += 1
 
-    # Final staging pass.
-    _batched_stage_rounds(stage, u, E, kind="write")
+def _replay_searches(
+    search: BatchCounters,
+    plan: Plan,
+    lv: slice,
+    cut: IntArray,
+    variant: str,
+    T: int,
+    u: int,
+) -> None:
+    """Replay the per-pair bisections of the levels ``lv`` in one loop.
+
+    Along the real probe path the branch taken at ``mid`` is exactly
+    ``cut > mid`` (each branch keeps ``lo <= cut <= hi``), so the probe
+    addresses and live masks reproduce with no data reads; a converged
+    lane (``lo == hi == cut``) stays put under the same update, so no
+    mask is needed.  Levels whose geometric depth is used up are sliced
+    off the front of the level axis, and only (iteration, level) rows
+    with a live lane are kept — exactly the rounds a per-level loop
+    would fold.  The replay runs in int32 (addresses < u*E < 2^31),
+    writing into leased round buffers sized by the total depth.
+    """
+    depth = [int(d) for d in np.asarray(plan["depth"])[lv]]
+    n_rows = 2 * sum(depth)
+    pbase = np.asarray(plan["pbase"])[lv][:, None, :].astype(np.int32)
+    diag = np.asarray(plan["diag"])[lv][:, None, :].astype(np.int32)
+    half = np.asarray(plan["half"])[lv][:, None, None].astype(np.int32)
+    shape = (len(depth), T, u)
+    lo = np.broadcast_to(np.asarray(plan["lo"])[lv][:, None, :], shape).astype(np.int32)
+    hi = np.broadcast_to(np.asarray(plan["hi"])[lv][:, None, :], shape).astype(np.int32)
+    cut32 = cut.astype(np.int32)
+    # CF addresses the B run reversed within its pair region.
+    b_base = pbase + (2 * half - 1 if variant == "cf" else half)
+    b_step = np.subtract if variant == "cf" else np.add
+    diag -= 1
+    half -= 1
+    with ENGINE_ARENA.lease((n_rows, T, u), np.int32) as probes, ENGINE_ARENA.lease(
+        (n_rows, T, u), np.bool_
+    ) as probe_live:
+        r = done = 0
+        for it in range(max(depth)):
+            drop = sum(1 for d in depth[done:] if d <= it)
+            if drop:
+                done += drop
+                lo, hi, cut32 = lo[drop:], hi[drop:], cut32[drop:]
+                pbase, diag, half, b_base = pbase[drop:], diag[drop:], half[drop:], b_base[drop:]
+            k = len(lo)
+            live = np.less(lo, hi, out=probe_live[r : r + k])
+            probe_live[r + k : r + 2 * k] = live
+            mid = lo + hi
+            mid >>= 1
+            # b_idx = clip(diag - 1 - mid, 0, half - 1)
+            b_idx = np.subtract(diag, mid)
+            np.maximum(b_idx, 0, out=b_idx)
+            np.minimum(b_idx, half, out=b_idx)
+            np.add(pbase, mid, out=probes[r : r + k])
+            b_step(b_base, b_idx, out=probes[r + k : r + 2 * k])
+            r += 2 * k
+            go_right = cut32 > mid
+            lo = np.where(go_right, mid + 1, lo)
+            hi = np.where(go_right, hi, mid)
+        # Keep only the (iteration, level) rows with a live lane.
+        kept = probe_live.any(axis=(1, 2))
+        if kept.all():
+            search.round_many(probes, probe_live, kind="read")
+        else:
+            search.round_many(probes[kept], probe_live[kept], kind="read")
 
 
 # --------------------------------------------------------------- k-way merge

@@ -33,8 +33,9 @@ execution *is* applying a precomputed permutation):
   of round 0, so every round's conflict profile is round 0's).
 - ``fused_level`` precomputes one blocksort merge level's entire
   per-thread geometry (pair bases, diagonals, bisection bounds, B-half
-  tags) so the batched engine replays a level without per-round index
-  recomputation.
+  tags); ``fused_levels`` stacks every level's on a leading axis (plus
+  per-level bisection depths), so the batched engine replays all levels
+  of a blocksort from one lookup.
 
 Plans are immutable by contract: every array is stored with its NumPy
 write flag cleared, so an accidental in-place mutation raises instead of
@@ -371,8 +372,39 @@ def _build_fused_level(
     }
 
 
+def _build_fused_levels(
+    n: int, E: int, w: int, k: int, level: int
+) -> dict[str, PlanArray]:
+    """Every blocksort merge level's geometry, stacked on a leading axis.
+
+    Row ``l`` of ``pbase``/``diag``/``lo``/``hi``/``pair_last``/``tag``
+    is the ``fused_level`` plan of level ``l`` (``n`` threads, run width
+    ``1 << l``) for ``l < log2(n)``.  ``first`` is each thread's pair
+    base in threads, ``half`` the per-level B-half offset ``g*E``, and
+    ``depth`` the geometric bisection depth (``bit_length`` of the widest
+    search window), which grows with the level — so the levels whose
+    search has finished are always a prefix of the level axis.  One
+    lookup serves the batched blocksort's level-stacked pass.
+    """
+    if n < 2 or n & (n - 1):
+        raise ParameterError(
+            f"fused_levels needs a power-of-two thread count u >= 2, got u={n}"
+        )
+    rows = [_build_fused_level(n, E, w, k, lv) for lv in range(n.bit_length() - 1)]
+    stacked = {
+        name: np.stack([np.asarray(row[name]) for row in rows])
+        for name in ("pbase", "diag", "lo", "hi", "pair_last", "tag")
+    }
+    half = E << np.arange(len(rows), dtype=np.int64)
+    stacked["first"] = stacked["pbase"] // E
+    stacked["half"] = half
+    # The widest window, hi - lo == half, is the thread at diag == half.
+    stacked["depth"] = np.asarray([int(h).bit_length() for h in half], dtype=np.int64)
+    return {name: _frozen(arr) for name, arr in stacked.items()}
+
+
 #: kind -> builder.  Builders are pure functions of the key.
-_BUILDERS: dict[str, Callable[[int, int, int, int], dict[str, PlanArray]]] = {
+_BUILDERS: dict[str, Callable[[int, int, int, int, int], dict[str, PlanArray]]] = {
     "tids": _build_tids,
     "stage": _build_stage,
     "rho": _build_rho,
@@ -385,6 +417,7 @@ _BUILDERS: dict[str, Callable[[int, int, int, int], dict[str, PlanArray]]] = {
     "fused_take": _build_fused_take,
     "fused_stage": _build_fused_stage,
     "fused_level": _build_fused_level,
+    "fused_levels": _build_fused_levels,
 }
 
 #: The plan kinds the cache can build.

@@ -14,6 +14,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.arena import ALIGNMENT, BufferArena, ENGINE_ARENA, arena_stats
 from repro.errors import ParameterError
@@ -208,3 +210,44 @@ class TestCapacityAndStats:
         }
         assert all(isinstance(v, float) for v in stats.values())
         assert stats is not ENGINE_ARENA.stats()  # a fresh dict each call
+
+
+_SHAPES = [(4,), (2, 8), (16,), (3, 3), (64,)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.sampled_from([0, 64, 200, 1 << 10, 1 << 20]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["checkout", "release", "release_oldest"]),
+            st.integers(0, len(_SHAPES) - 1),
+            st.sampled_from([np.int8, np.int32, np.int64]),
+        ),
+        max_size=60,
+    ),
+)
+def test_running_free_bytes_match_the_free_lists(capacity, ops):
+    """The running free-byte total equals a re-sum after every operation.
+
+    Random checkout/release sequences against a small capacity exercise
+    the oldest-first trim; ``resident_bytes`` must equal the free bytes
+    plus the checked-out bytes throughout.
+    """
+    arena = BufferArena(capacity_bytes=capacity)
+    out: list[np.ndarray] = []
+    for op, shape_idx, dtype in ops:
+        if op == "checkout":
+            out.append(arena.checkout(_SHAPES[shape_idx], dtype))
+        elif out:
+            arena.release(out.pop(0 if op == "release_oldest" else -1))
+        free = sum(int(b.nbytes) for pool in arena._free.values() for b in pool)
+        assert arena._free_bytes == free
+        assert free <= capacity
+        live = sum(int(b.nbytes) for b in out)
+        stats = arena.stats()
+        assert stats["resident_bytes"] == float(free + live)
+        assert stats["live"] == float(len(out))
+        assert stats["peak_bytes"] >= stats["resident_bytes"]
+    arena.clear()
+    assert arena._free_bytes == 0

@@ -159,7 +159,7 @@ class TestPlanCacheBehavior:
             "tids", "stage", "rho", "scatter", "oddeven",
             "kway_rounds", "sample_splitters",
             "key_pack", "payload_gather",
-            "fused_take", "fused_stage", "fused_level",
+            "fused_take", "fused_stage", "fused_level", "fused_levels",
         }
 
 
@@ -226,6 +226,27 @@ class TestFusedPlans:
         with pytest.raises(ParameterError):
             get_plan("fused_level", 16, 5, 8, level=4)  # g = 16 == u
 
+    def test_fused_levels_stacks_every_level(self):
+        u, E, w = 32, 5, 8
+        plan = get_plan("fused_levels", u, E, w)
+        levels = 5  # log2(u)
+        for name in ("pbase", "diag", "lo", "hi", "pair_last", "tag"):
+            assert np.asarray(plan[name]).shape[0] == levels
+            for lv in range(levels):
+                row = np.asarray(get_plan("fused_level", u, E, w, level=lv)[name])
+                assert np.array_equal(np.asarray(plan[name])[lv], row), (name, lv)
+        half = E << np.arange(levels)
+        assert np.array_equal(np.asarray(plan["half"]), half)
+        assert np.array_equal(np.asarray(plan["first"]), np.asarray(plan["pbase"]) // E)
+        depth = np.asarray(plan["depth"])
+        assert list(depth) == [int(h).bit_length() for h in half]
+        assert np.all(np.diff(depth) >= 0), "finished levels must form a prefix"
+
+    def test_fused_levels_validates_thread_count(self):
+        for u in (1, 24):
+            with pytest.raises(ParameterError):
+                get_plan("fused_levels", u, 5, 8)
+
 
 class TestImmutability:
     @pytest.mark.parametrize("kind,n,E,w", [
@@ -237,6 +258,7 @@ class TestImmutability:
         ("fused_take", 160, 16, 8),
         ("fused_stage", 8, 5, 8),
         ("fused_level", 8, 5, 8),
+        ("fused_levels", 8, 5, 8),
     ])
     def test_every_plan_array_is_write_protected(self, kind, n, E, w):
         plan = get_plan(kind, n, E, w)
